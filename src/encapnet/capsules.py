@@ -8,8 +8,6 @@ channels, each a contiguous block of d scalar channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -25,26 +23,6 @@ def squash(s: Tensor, axis: int = -1) -> Tensor:
     nsq = T.tsum(s * s, axis=axis, keepdims=True)
     norm = T.sqrt(nsq + SQUASH_EPS)
     return s * (nsq / (1.0 + nsq) / norm)
-
-
-@dataclass
-class CapsuleGrid:
-    """A (B, caps*dim, H, W) blob tagged with its capsule split."""
-
-    tensor: Tensor
-    caps: int
-    dim: int
-
-    def __post_init__(self):
-        if self.tensor.ndim != 4:
-            raise ShapeError(f"capsule grid must be 4-D, got {self.tensor.shape}")
-        if self.tensor.shape[1] != self.caps * self.dim:
-            raise ShapeError(
-                f"channels {self.tensor.shape[1]} != caps {self.caps} * dim {self.dim}")
-
-    @property
-    def shape(self):
-        return self.tensor.shape
 
 
 def grid_squash(x: Tensor, caps: int, dim: int) -> Tensor:

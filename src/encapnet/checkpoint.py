@@ -11,11 +11,14 @@ Layout (all integers little-endian):
   then every array's raw little-endian bytes in manifest order.
 
 The embedded config makes a checkpoint sufficient to rebuild and evaluate
-the model with no other inputs.
+the model with no other inputs. Saves are atomic: the bytes go to a temporary
+file in the destination's directory, which is fsynced and then renamed over
+the destination.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -61,27 +64,40 @@ def save_checkpoint(path: str, model: Layer, config_text: str = "",
         entries.append((name, 2, np.ascontiguousarray(a)))
 
     meta_text = "\n".join(f"{k}={v}" for k, v in (meta or {}).items())
-    cfg_bytes = config_text.encode("utf-8")
-    meta_bytes = meta_text.encode("utf-8")
+    # write beside the destination and rename over it, so a crash mid-save
+    # leaves the previous file intact
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            _write(f, config_text.encode("utf-8"), meta_text.encode("utf-8"), entries)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(entries)))
-        for name, kind, arr in entries:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<BBB", kind, _code_for(arr), arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-        for _, _, arr in entries:
-            code = _code_for(arr)
-            f.write(arr.astype(_DTYPE_CODES[code], copy=False).tobytes())
+
+def _write(f, cfg_bytes: bytes, meta_bytes: bytes, entries) -> None:
+    """Serialize one checkpoint into the open file f; layout above."""
+    f.write(MAGIC)
+    f.write(struct.pack("<I", VERSION))
+    f.write(struct.pack("<I", len(cfg_bytes)))
+    f.write(cfg_bytes)
+    f.write(struct.pack("<I", len(meta_bytes)))
+    f.write(meta_bytes)
+    f.write(struct.pack("<I", len(entries)))
+    for name, kind, arr in entries:
+        nb = name.encode("utf-8")
+        f.write(struct.pack("<H", len(nb)))
+        f.write(nb)
+        f.write(struct.pack("<BBB", kind, _code_for(arr), arr.ndim))
+        for d in arr.shape:
+            f.write(struct.pack("<I", d))
+    for _, _, arr in entries:
+        code = _code_for(arr)
+        f.write(arr.astype(_DTYPE_CODES[code], copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> CheckpointData:

@@ -228,7 +228,7 @@ def cmd_routing_hist(args) -> int:
     from .errors import ConfigError
     from .network import CapNet, build_network
     from .routing import routing_histogram, write_histogram_csv
-    from .tensor import Tensor
+    from .tensor import Tensor, no_grad
 
     ck = load_checkpoint(args.checkpoint)
     rc = parse_config_text(ck.config_text)
@@ -247,7 +247,8 @@ def cmd_routing_hist(args) -> int:
     dt = np.dtype(rc.train.dtype)
     for start in range(0, test_x.shape[0], args.batch):
         xb = test_x[start:start + args.batch][:, None, :, :]
-        model(Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False))
+        with no_grad():
+            model(Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False))
         votes.append(layer.last_votes)
         outputs.append(layer.last_output)
     hist = routing_histogram(np.concatenate(votes), np.concatenate(outputs))

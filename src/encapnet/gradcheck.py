@@ -1,7 +1,8 @@
 """Central-difference gradient checking.
 
 Perturbs every coordinate of the checked arrays in place by +-h and compares
-the symmetric difference quotient against the backward pass. Checks run in
+the symmetric difference quotient against the backward pass. The perturbed
+forwards run under tensor.no_grad, so they build no tape. Checks run in
 float64; callers keep instances small so full sweeps stay cheap.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor
 
 DEFAULT_H = 1e-5
@@ -19,20 +21,24 @@ DEFAULT_SCALE_FLOOR = 1e-5
 
 
 def fd_gradients(f, arrays, h: float = DEFAULT_H):
-    """Finite-difference grads of scalar f() w.r.t. each array, in place."""
+    """Finite-difference grads of scalar f() w.r.t. each array, in place.
+
+    f runs under no_grad: its value is all that is read.
+    """
     grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat, gf = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f()
-            flat[i] = orig - h
-            fm = f()
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
-        grads.append(g)
+    with T.no_grad():
+        for arr in arrays:
+            g = np.zeros_like(arr)
+            flat, gf = arr.reshape(-1), g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = f()
+                flat[i] = orig - h
+                fm = f()
+                flat[i] = orig
+                gf[i] = (fp - fm) / (2.0 * h)
+            grads.append(g)
     return grads
 
 

@@ -138,24 +138,14 @@ class BatchNorm2d(Layer):
         self.add_buffer("running_var", np.ones(channels, dtype=dt))
 
     def __call__(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        shape = (1, c, 1, 1)
         if self.training:
-            mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = T.tmean(centered * centered, axis=(0, 2, 3), keepdims=True)
-            n = x.data.size // c
-            unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
-            m = self.momentum
-            self._buffers["running_mean"] *= (1 - m)
-            self._buffers["running_mean"] += m * mu.data.reshape(c)
-            self._buffers["running_var"] *= (1 - m)
-            self._buffers["running_var"] += m * unbiased
-            xhat = centered / T.sqrt(var + self.eps)
-        else:
-            mu = T.constant(self._buffers["running_mean"].reshape(shape))
-            var = T.constant(self._buffers["running_var"].reshape(shape))
-            xhat = (x - mu) / T.sqrt(var + self.eps)
+            return T.batch_norm(x, self.gamma, self.beta, self.eps,
+                                self._buffers["running_mean"],
+                                self._buffers["running_var"], self.momentum)
+        shape = (1, x.shape[1], 1, 1)
+        mu = T.constant(self._buffers["running_mean"].reshape(shape))
+        var = T.constant(self._buffers["running_var"].reshape(shape))
+        xhat = (x - mu) / T.sqrt(var + self.eps)
         return xhat * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
 

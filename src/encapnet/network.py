@@ -345,20 +345,3 @@ def parameter_table(model: Layer):
     rows = [(name, tuple(p.data.shape), int(p.data.size))
             for name, p in model.named_params()]
     return rows, sum(r[2] for r in rows)
-
-
-def strip_feedback(model: Layer) -> int:
-    """Drop feedback units from an EncapNet in place; returns parameters freed.
-
-    Feedback units exist only to shape training; evaluation and deployment
-    never run them, so checkpoint consumers may discard their weights.
-    """
-    if not isinstance(model, EncapNet):
-        return 0
-    freed = sum(p.data.size
-                for units in model.feedback
-                for unit in units
-                for _, p in unit.named_params())
-    model.feedback = [[] for _ in model.feedback]
-    model._ot_kinds = [[] for _ in model._ot_kinds]
-    return int(freed)

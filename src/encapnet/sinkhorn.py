@@ -65,8 +65,6 @@ def cost_matrix(x: Tensor, y: Tensor, kind: str = "cosine") -> Tensor:
 @dataclass
 class Coupling:
     P: np.ndarray      # (B2, B1) transport plan, total mass 1
-    log_a: np.ndarray  # column scaling (B1,), log domain so huge costs stay finite
-    log_b: np.ndarray  # row scaling (B2,)
 
 
 def _lse(z: np.ndarray, axis: int) -> np.ndarray:
@@ -96,7 +94,7 @@ def sinkhorn_iterates(Q: np.ndarray, eps: float, iters: int) -> Coupling:
         lb = -np.log(b2) - _lse(logK + la[None, :], axis=1)
     la = -np.log(b1) - _lse(logK + lb[:, None], axis=0)
     logP = lb[:, None] + logK + la[None, :]
-    return Coupling(P=np.exp(logP), log_a=la, log_b=lb)
+    return Coupling(P=np.exp(logP))
 
 
 def _sinkhorn_log_tensors(Q: Tensor, eps: float, iters: int) -> Tensor:

@@ -6,6 +6,12 @@ loss topologically orders that graph and visits each node exactly once in
 reverse, accumulating gradients into .grad. Calling backward() again without
 zeroing keeps accumulating; that is the documented behaviour, not an error.
 
+Inside `with no_grad():` ops still compute their outputs but record nothing:
+the nodes they build have no parents, no backward rule and requires_grad
+False, so no input or intermediate buffer is kept alive for a backward pass.
+Evaluation and finite-difference forwards run this way. Backward rules skip
+the gradient of any input that does not require one.
+
 Float64 is the default dtype; set_default_dtype(np.float32) switches the whole
 stack for cheap training runs.
 """
@@ -19,6 +25,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 _default_dtype = np.float64
+_grad_enabled = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -104,9 +111,19 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add g (same shape, or broadcastable to it) into .grad.
+
+        The first touch stores a copy: one g may be handed to two parents
+        (add), so storing it as-is would alias their grads. The copy takes
+        the memory layout of .data, not of g, which may be a transposed view.
+        """
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     # -- graph walk ---------------------------------------------------------
 
@@ -139,8 +156,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            if not node.requires_grad:
-                node.grad = None
 
     # -- operators ----------------------------------------------------------
 
@@ -193,7 +208,27 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=_default_dtype), requires_grad=False, op="const")
 
 
+class no_grad:
+    """Context manager: ops inside it build no tape (see the module docstring).
+
+    Nests, and restores the previous setting on exit, also after an exception.
+    """
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+        return self
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
+        return False
+
+
 def _make(data, parents, backward, op):
+    if not _grad_enabled:
+        return Tensor(data, op=op)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, op=op,
                   parents=parents, backward=backward if req else None)
@@ -330,15 +365,10 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy()
-                          if np.ndim(g) == a.data.ndim else np.full_like(a.data, g))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % a.data.ndim for ax in axes)
-            g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+            g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(out_data, (a,), back, "sum")
 
@@ -459,6 +489,50 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), back, "logsumexp")
 
 
+# -- normalisation ---------------------------------------------------------------
+
+def batch_norm(x, gamma, beta, eps: float = 1e-5, running_mean=None,
+               running_var=None, momentum: float = 0.1) -> Tensor:
+    """Training-mode batch norm of (B,C,H,W) over (B,H,W), as one node.
+
+    y = (x - mean) / sqrt(var + eps) * gamma + beta with the biased batch
+    variance. Given running_mean / running_var arrays, updates them in place,
+    r <- (1 - momentum) r + momentum * stat, with the unbiased variance.
+    The backward rule is the closed form
+    dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)).
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.data.ndim != 4:
+        raise ShapeError(f"batch_norm expects a 4-D input, got {x.data.shape}")
+    c = x.data.shape[1]
+    n = x.data.size // c
+    axes, shape = (0, 2, 3), (1, c, 1, 1)
+    mean = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / n)
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    if running_mean is not None:
+        running_mean *= 1 - momentum
+        running_mean += momentum * mean.reshape(c)
+    if running_var is not None:
+        running_var *= 1 - momentum
+        running_var += momentum * (var.reshape(c) * (n / max(n - 1, 1)))
+
+    def back(g):
+        gsum = g.sum(axis=axes)
+        gxsum = (g * xhat).sum(axis=axes)
+        beta._accumulate(gsum)
+        gamma._accumulate(gxsum)
+        if x.requires_grad:
+            scale = gamma.data.reshape(shape) / std
+            x._accumulate(scale * (g - (gsum / n).reshape(shape)
+                                   - xhat * (gxsum / n).reshape(shape)))
+
+    return _make(out, (x, gamma, beta), back, "batch_norm")
+
+
 # -- convolution ----------------------------------------------------------------
 
 def conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
@@ -469,37 +543,104 @@ def conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _phase_shape(k: int, stride: int, ho: int, wo: int):
+    """(rows, width) of a phase image for an (ho, wo) output.
+
+    The width wo + (k-1)//stride is also the row width of the lowered output;
+    one spare row keeps the last tap's run inside the image.
+    """
+    q = (k - 1) // stride
+    return ho + q + 1, wo + q
+
+
+def _is_pointwise(k: int, stride: int, pad: int) -> bool:
+    return k == 1 and stride == 1 and pad == 0
+
+
+def _tap_offsets(k: int, stride: int, wq: int):
+    """(tap row, tap col, phase row, phase col, flat offset) of every tap."""
+    return [(ki, kj, ki % stride, kj % stride, (ki // stride) * wq + kj // stride)
+            for ki in range(k) for kj in range(k)]
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(B,C,H,W) -> (B, C*k*k, Ho*Wo). Pure layout work, one copy."""
+    """(B,C,H,W) -> columns (B, C*k*k, Ho*Wq), Ho, Wo, Wq.
+
+    The zero-padded input is split into stride x stride phase images of
+    width Wq = Wo + (k-1)//stride (x[pi::s, pj::s] for phase (pi, pj)), each
+    flattened. In a flattened phase image the patch rows of one tap for all
+    Ho output rows are one contiguous run of Ho*Wq values, so each tap is a
+    single copy. Column j >= Wo of each output row is junk that callers crop.
+    A 1x1, stride-1, unpadded conv uses x itself as its columns.
+    """
     b, c, h, w = x.shape
     ho = conv_out_size(h, k, stride, pad)
     wo = conv_out_size(w, k, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = x[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    return cols.reshape(b, c * k * k, ho * wo), ho, wo
+    if _is_pointwise(k, stride, pad):
+        return x.reshape(b, c, h * w), ho, wo, wo
+    s = stride
+    hq, wq = _phase_shape(k, s, ho, wo)
+    # rows and columns past s*hq, s*wq are never under any tap
+    hh, ww = min(h, s * hq - pad), min(w, s * wq - pad)
+    xp = np.zeros((b, c, s * hq, s * wq), dtype=x.dtype)
+    xp[:, :, pad:pad + hh, pad:pad + ww] = x[:, :, :hh, :ww]
+    n = min(s, k)
+    phases = np.ascontiguousarray(
+        xp.reshape(b, c, hq, s, wq, s)[:, :, :, :n, :, :n].transpose(3, 5, 0, 1, 2, 4)
+    ).reshape(n, n, b, c, hq * wq)
+    span = ho * wq
+    cols = np.empty((b, c, k, k, span), dtype=x.dtype)
+    for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
+        cols[:, :, ki, kj] = phases[pi, pj, :, :, off:off + span]
+    return cols.reshape(b, c * k * k, span), ho, wo, wq
 
 
-def _col2im(cols: np.ndarray, out_hw, k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto (B,C,H,W)."""
-    h, w = out_hw
-    b = cols.shape[0]
-    c = cols.shape[1] // (k * k)
-    p = cols.shape[2]
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = p // ho
-    cols = cols.reshape(b, c, k, k, ho, wo)
-    x = np.zeros((b, c, hp, wp), dtype=cols.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            x[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += cols[:, :, ki, kj]
-    if pad:
-        x = x[:, :, pad:pad + h, pad:pad + w]
+def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int,
+            ho: int, wo: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add columns back onto (B,C,H,W).
+
+    Junk columns must hold zeros; they land on real pixels of the phase
+    images and add nothing there.
+    """
+    b, c, h, w = x_shape
+    if _is_pointwise(k, stride, pad):
+        return cols.reshape(x_shape)
+    s, n = stride, min(stride, k)
+    hq, wq = _phase_shape(k, s, ho, wo)
+    span = ho * wq
+    cols = cols.reshape(b, c, k, k, span)
+    phases = np.zeros((n, n, b, c, hq * wq), dtype=cols.dtype)
+    for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
+        phases[pi, pj, :, :, off:off + span] += cols[:, :, ki, kj]
+    phases = phases.reshape(n, n, b, c, hq, wq)
+    if s == 1:
+        xp = phases[0, 0]
+    else:
+        xp = np.zeros((b, c, s * hq, s * wq), dtype=cols.dtype)
+        xp.reshape(b, c, hq, s, wq, s)[:, :, :, :n, :, :n] = phases.transpose(2, 3, 4, 0, 5, 1)
+    hh, ww = min(h, s * hq - pad), min(w, s * wq - pad)
+    if (hh, ww) == (h, w):
+        return xp[:, :, pad:pad + h, pad:pad + w]
+    x = np.zeros(x_shape, dtype=cols.dtype)
+    x[:, :, :hh, :ww] = xp[:, :, pad:pad + hh, pad:pad + ww]
     return x
+
+
+def _widen(y: np.ndarray, wq: int) -> np.ndarray:
+    """(B,C,H,W) -> (B,C,H*wq) with zero junk columns W..wq-1."""
+    b, c, h, w = y.shape
+    if wq == w:
+        return y.reshape(b, c, h * w)
+    out = np.zeros((b, c, h, wq), dtype=y.dtype)
+    out[..., :w] = y
+    return out.reshape(b, c, h * wq)
+
+
+def _crop(y: np.ndarray, ho: int, wq: int, wo: int) -> np.ndarray:
+    """(B,C,ho*wq) lowered output -> contiguous (B,C,ho,wo)."""
+    b, c = y.shape[:2]
+    y = y.reshape(b, c, ho, wq)
+    return y if wq == wo else np.ascontiguousarray(y[..., :wo])
 
 
 def _check_conv_channels(cin, cout, groups, w_shape):
@@ -510,45 +651,32 @@ def _check_conv_channels(cin, cout, groups, w_shape):
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2-D cross-correlation. x: (B,Cin,H,W), w: (Cout,Cin/g,k,k)."""
+    """Grouped 2-D cross-correlation. x: (B,Cin,H,W), w: (Cout,Cin/g,k,k).
+
+    One im2col for all groups (channel-major, so group g's columns are the
+    g-th block of rows) and one batched matmul (G,Cout/g,K) @ (B,G,K,L).
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
-    b, cin, h, wd = x.data.shape
+    b, cin, _, _ = x.data.shape
     cout, _, k, k2 = w.data.shape
     if k != k2:
         raise ShapeError("only square kernels supported")
     _check_conv_channels(cin, cout, groups, w.data.shape)
-    cin_g, cout_g = cin // groups, cout // groups
-    ho = conv_out_size(h, k, stride, padding)
-    wo = conv_out_size(wd, k, stride, padding)
-
-    # per-group lowering keeps each group's arithmetic identical to an
-    # independent conv on its channel slice
-    cols_per_group = []
-    out = np.empty((b, cout, ho * wo), dtype=x.data.dtype)
-    for gidx in range(groups):
-        xg = x.data[:, gidx * cin_g:(gidx + 1) * cin_g]
-        cols, _, _ = _im2col(xg, k, stride, padding)
-        cols_per_group.append(cols)
-        wg = w.data[gidx * cout_g:(gidx + 1) * cout_g].reshape(cout_g, cin_g * k * k)
-        out[:, gidx * cout_g:(gidx + 1) * cout_g] = np.matmul(wg, cols)
-    out = out.reshape(b, cout, ho, wo)
+    cols, ho, wo, wq = _im2col(x.data, k, stride, padding)
+    cols = cols.reshape(b, groups, -1, ho * wq)
+    wmat = w.data.reshape(groups, cout // groups, -1)
+    out = _crop(np.matmul(wmat, cols).reshape(b, cout, -1), ho, wq, wo)
 
     def back(g):
-        g = g.reshape(b, cout, ho * wo)
-        gx = np.empty_like(x.data)
-        gw = np.empty_like(w.data)
-        for gidx in range(groups):
-            gyg = g[:, gidx * cout_g:(gidx + 1) * cout_g]
-            cols = cols_per_group[gidx]
-            wg = w.data[gidx * cout_g:(gidx + 1) * cout_g].reshape(cout_g, cin_g * k * k)
-            gw[gidx * cout_g:(gidx + 1) * cout_g] = np.tensordot(
-                gyg, cols, axes=([0, 2], [0, 2])).reshape(cout_g, cin_g, k, k)
-            gcols = np.matmul(wg.T, gyg)
-            gx[:, gidx * cin_g:(gidx + 1) * cin_g] = _col2im(gcols, (h, wd), k, stride, padding)
-        x._accumulate(gx)
-        w._accumulate(gw)
+        gy = _widen(g, wq).reshape(b, groups, cout // groups, ho * wq)
+        if w.requires_grad:
+            gw = np.matmul(gy, cols.swapaxes(-1, -2)).sum(axis=0)
+            w._accumulate(gw.reshape(w.data.shape))
+        if x.requires_grad:
+            gcols = np.matmul(wmat.swapaxes(-1, -2), gy)
+            x._accumulate(_col2im(gcols, x.data.shape, k, stride, padding, ho, wo))
 
     return _make(out, (x, w), back, "conv2d")
 
@@ -572,34 +700,27 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
         raise ShapeError(f"input channels {cfrom} != weight out-channels {cout}")
     if cout % groups:
         raise ShapeError(f"channels {cout} not divisible by groups={groups}")
-    cout_g = cout // groups
-    cin = cin_g * groups
     ho = (hi - 1) * stride - 2 * padding + k + output_padding
     wo = (wi - 1) * stride - 2 * padding + k + output_padding
     if ho < 1 or wo < 1:
         raise ShapeError("conv_transpose2d output collapses")
-
-    out = np.empty((b, cin, ho, wo), dtype=x.data.dtype)
-    for gidx in range(groups):
-        xg = x.data[:, gidx * cout_g:(gidx + 1) * cout_g].reshape(b, cout_g, hi * wi)
-        wg = w.data[gidx * cout_g:(gidx + 1) * cout_g].reshape(cout_g, cin_g * k * k)
-        cols = np.matmul(wg.T, xg)
-        out[:, gidx * cin_g:(gidx + 1) * cin_g] = _col2im(cols, (ho, wo), k, stride, padding)
+    out_shape = (b, cin_g * groups, ho, wo)
+    # x sits where conv2d's output would: same lowered row width
+    _, wq = _phase_shape(k, stride, hi, wi)
+    xw = _widen(x.data, wq).reshape(b, groups, cout // groups, hi * wq)
+    wmat = w.data.reshape(groups, cout // groups, -1)
+    out = _col2im(np.matmul(wmat.swapaxes(-1, -2), xw), out_shape, k, stride,
+                  padding, hi, wi)
 
     def back(g):
-        gx = np.empty_like(x.data)
-        gw = np.empty_like(w.data)
-        for gidx in range(groups):
-            gg = g[:, gidx * cin_g:(gidx + 1) * cin_g]
-            cols_g, _, _ = _im2col(gg, k, stride, padding)
-            wg = w.data[gidx * cout_g:(gidx + 1) * cout_g].reshape(cout_g, cin_g * k * k)
-            gx[:, gidx * cout_g:(gidx + 1) * cout_g] = np.matmul(
-                wg, cols_g).reshape(b, cout_g, hi, wi)
-            xg = x.data[:, gidx * cout_g:(gidx + 1) * cout_g].reshape(b, cout_g, hi * wi)
-            gw[gidx * cout_g:(gidx + 1) * cout_g] = np.tensordot(
-                xg, cols_g, axes=([0, 2], [0, 2])).reshape(cout_g, cin_g, k, k)
-        x._accumulate(gx)
-        w._accumulate(gw)
+        gcols, _, _, _ = _im2col(g, k, stride, padding)
+        gcols = gcols.reshape(b, groups, -1, hi * wq)
+        if w.requires_grad:
+            gw = np.matmul(xw, gcols.swapaxes(-1, -2)).sum(axis=0)
+            w._accumulate(gw.reshape(w.data.shape))
+        if x.requires_grad:
+            gx = np.matmul(wmat, gcols).reshape(b, cout, -1)
+            x._accumulate(_crop(gx, hi, wq, wi))
 
     return _make(out, (x, w), back, "conv_transpose2d")
 

@@ -140,17 +140,21 @@ def _check_params_finite(params, epoch: int, batch_idx: int) -> None:
 
 def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256, dtype: str = "float64"):
-    """(error, accuracy, mean margin loss) on a fixed, unshuffled pass."""
+    """(error, accuracy, mean margin loss) on a fixed, unshuffled pass.
+
+    Runs under no_grad: nothing here is differentiated.
+    """
     model.set_mode(False)
     dt = np.dtype(dtype)
     n = images.shape[0]
     wrong = 0
     margin_sum = 0.0
-    for xb, yb in batches(images, labels, batch_size, shuffle=False, augment=False):
-        x = Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False)
-        caps, _ = model(x)
-        wrong += int((predict(caps) != yb).sum())
-        margin_sum += float(margin_loss(caps, yb).data) * xb.shape[0]
+    with T.no_grad():
+        for xb, yb in batches(images, labels, batch_size, shuffle=False, augment=False):
+            x = Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False)
+            caps, _ = model(x)
+            wrong += int((predict(caps) != yb).sum())
+            margin_sum += float(margin_loss(caps, yb).data) * xb.shape[0]
     error = wrong / n
     return error, 1.0 - error, margin_sum / n
 

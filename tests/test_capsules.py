@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from encapnet import tensor as T
-from encapnet.capsules import (CapFC, CapsuleGrid, capsule_norms, grid_squash,
+from encapnet.capsules import (CapFC, capsule_norms, grid_squash,
                                grid_to_capsules, margin_loss, predict, squash)
 from encapnet.errors import ShapeError
 from encapnet.tensor import Tensor, seeded_rng
@@ -49,12 +49,6 @@ class TestSquash:
 
 
 class TestGridLayout:
-    def test_grid_validates_channels(self):
-        with pytest.raises(ShapeError):
-            CapsuleGrid(Tensor(np.zeros((1, 13, 5, 5))), caps=3, dim=4)
-        with pytest.raises(ShapeError):
-            CapsuleGrid(Tensor(np.zeros((13, 5, 5))), caps=3, dim=4)
-
     def test_grid_to_capsules_layout(self):
         # channel-major: channel index = capsule * dim + coordinate
         b, c, d, h, w = 2, 3, 4, 2, 2

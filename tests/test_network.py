@@ -8,7 +8,7 @@ from encapnet.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from encapnet.errors import ConfigError, DataFormatError
 from encapnet.network import (CapNet, EncapNet, ModuleSpec, NetworkConfig,
                               StemSpec, VanillaCNN, build_network,
-                              parameter_table, strip_feedback)
+                              parameter_table)
 from encapnet.optim import Adam
 from encapnet.sinkhorn import OTConfig
 from encapnet.tensor import Tensor, seeded_rng
@@ -152,22 +152,6 @@ class TestParameterTable:
         assert len(names) == len(set(names))
         assert any(n.startswith("feedback") for n in names)
 
-    def test_strip_feedback_frees_params(self):
-        net = build_network(small_cfg(), seed=0)
-        _, before = parameter_table(net)
-        freed = strip_feedback(net)
-        _, after = parameter_table(net)
-        assert freed > 0 and after == before - freed
-        _, ot_vals = net(Tensor(np.zeros((1, 1, 12, 12))), with_feedback=True)
-        assert ot_vals == [[]]
-
-    def test_strip_feedback_noop_on_capnet(self):
-        cfg = NetworkConfig(
-            family="capnet_dynamic", stem=StemSpec(channels=(16,), strides=(2,)),
-            caps_channels=4, hidden_caps=2, hidden_dim=4, class_caps_dim=4,
-            image_size=12, n_classes=3)
-        assert strip_feedback(build_network(cfg)) == 0
-
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -183,6 +167,29 @@ class TestCheckpoint:
             np.testing.assert_array_equal(ck.params[name], p.data)
         for name, b in net.named_buffers():
             np.testing.assert_array_equal(ck.buffers[name], b)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        from encapnet import checkpoint
+
+        net = build_network(small_cfg(), seed=3)
+        path = str(tmp_path / "best.encp")
+        save_checkpoint(path, net, meta={"epoch": "1"})
+        before = (tmp_path / "best.encp").read_bytes()
+        real_write = checkpoint._write
+
+        def write_half_then_raise(f, *args):
+            real_write(f, *args)
+            f.truncate(len(before) // 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "_write", write_half_then_raise)
+        for _, p in net.named_params():
+            p.data += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, net, meta={"epoch": "2"})
+        assert (tmp_path / "best.encp").read_bytes() == before
+        assert load_checkpoint(path).meta["epoch"] == "1"
+        assert [f.name for f in tmp_path.iterdir()] == ["best.encp"]
 
     def test_restore_replaces_values(self, tmp_path):
         net = build_network(small_cfg(), seed=3)

@@ -1,4 +1,7 @@
-"""Engine tests: ops, broadcasting, convolutions, and the backward pass."""
+"""Engine tests: ops, broadcasting, convolutions, batch norm, no_grad, and the
+backward pass."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -35,6 +38,15 @@ def conv2d_naive(x, w, stride, padding, groups):
                                i * stride:i * stride + k, j * stride:j * stride + k]
                     out[bi, co, i, j] = (patch * w[co]).sum()
     return out
+
+
+# (cin, cout, k, stride, padding, groups, H, W): k=1 stride 2; stride 3,
+# pad 0 with the input's tail never read; H != W; depthwise; 1x1 stride 1
+# (the zero-copy path); a kernel wider than twice the stride
+EDGE_GEOMETRIES = [(4, 8, 1, 2, 0, 1, 9, 9), (4, 6, 3, 3, 0, 2, 10, 10),
+                   (4, 8, 3, 2, 1, 2, 9, 7), (6, 6, 3, 1, 1, 6, 7, 7),
+                   (6, 6, 3, 2, 1, 6, 8, 8), (4, 8, 1, 1, 0, 2, 5, 7),
+                   (2, 4, 5, 2, 2, 1, 9, 9)]
 
 
 class TestElementwise:
@@ -127,14 +139,15 @@ class TestShapesAndReductions:
 class TestConv:
     def test_matches_naive_conv(self):
         rng = seeded_rng(0, "conv")
-        for stride, padding, groups in [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 4)]:
-            cin, cout = 4, 8
-            x = rng.normal(size=(2, cin, 9, 9))
-            w = rng.normal(size=(cout, cin // groups, 3, 3))
+        cases = [(4, 8, 3, stride, padding, groups, 9, 9) for stride, padding, groups
+                 in [(1, 0, 1), (1, 1, 1), (2, 1, 2), (3, 2, 4)]]
+        for cin, cout, k, stride, padding, groups, h, wd in cases + EDGE_GEOMETRIES:
+            x = rng.normal(size=(2, cin, h, wd))
+            w = rng.normal(size=(cout, cin // groups, k, k))
             got = T.conv2d(Tensor(x), Tensor(w), stride, padding, groups).data
             want = conv2d_naive(x, w, stride, padding, groups)
             np.testing.assert_allclose(got, want, atol=1e-12,
-                                       err_msg=f"s{stride} p{padding} g{groups}")
+                                       err_msg=f"k{k} s{stride} p{padding} g{groups} {h}x{wd}")
 
     def test_grouped_equals_independent_slices(self):
         rng = seeded_rng(0, "groups")
@@ -159,23 +172,25 @@ class TestConv:
         # <conv(x), y> == <x, conv_transpose(y)> with the opad recovering 8x8
         rng = seeded_rng(0, "adjoint")
         checked = 0
-        for stride, padding, groups in [(1, 0, 1), (1, 1, 2), (2, 1, 1),
-                                        (2, 1, 2), (3, 2, 2)]:
-            x = rng.normal(size=(2, 6, 8, 8))
-            w = rng.normal(size=(6, 6 // groups, 3, 3))
+        cases = [(6, 6, 3, stride, padding, groups, 8, 8) for stride, padding, groups
+                 in [(1, 0, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2), (3, 2, 2)]]
+        for cin, cout, k, stride, padding, groups, h, wd in cases + EDGE_GEOMETRIES:
+            x = rng.normal(size=(2, cin, h, wd))
+            w = rng.normal(size=(cout, cin // groups, k, k))
             fwd = T.conv2d(Tensor(x), Tensor(w), stride, padding, groups).data
-            ho = fwd.shape[2]
-            opad = 8 - ((ho - 1) * stride - 2 * padding + 3)
-            if not 0 <= opad < max(stride, 1):
+            ho, wo = fwd.shape[2:]
+            opad = h - ((ho - 1) * stride - 2 * padding + k)
+            if not 0 <= opad < max(stride, 1) or opad != wd - ((wo - 1) * stride
+                                                               - 2 * padding + k):
                 continue
             y = rng.normal(size=fwd.shape)
             lhs = (fwd * y).sum()
             rhs = (x * T.conv_transpose2d(Tensor(y), Tensor(w), stride,
                                           padding, opad, groups).data).sum()
             rel = abs(lhs - rhs) / max(abs(lhs), 1e-12)
-            assert rel < 1e-13, f"s{stride} p{padding} g{groups}: {rel}"
+            assert rel < 1e-13, f"k{k} s{stride} p{padding} g{groups} {h}x{wd}: {rel}"
             checked += 1
-        assert checked >= 4
+        assert checked == len(cases) + len(EDGE_GEOMETRIES)
 
     def test_conv_transpose_grads(self):
         rng = seeded_rng(0, "ctgrad")
@@ -187,10 +202,172 @@ class TestConv:
             [v, w])
         assert max(errs) < 1e-6
 
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,groups,h,w",
+                             [EDGE_GEOMETRIES[i] for i in (0, 1, 3, 5)])
+    def test_conv_grads_edge_geometries(self, cin, cout, k, stride, padding, groups, h, w):
+        rng = seeded_rng(0, "convgrad-edge", cin, k, stride, padding, groups, h, w)
+        x = Tensor(rng.normal(size=(2, cin, h, w)), requires_grad=True)
+        wt = Tensor(rng.normal(size=(cout, cin // groups, k, k)), requires_grad=True)
+        ho = T.conv_out_size(h, k, stride, padding)
+        wo = T.conv_out_size(w, k, stride, padding)
+        v = Tensor(rng.normal(size=(2, cout, ho, wo)), requires_grad=True)
+        opad = h - ((ho - 1) * stride - 2 * padding + k)
+
+        def sq(y):
+            return T.tsum(y * y)
+
+        errs = check_grads(lambda: sq(T.conv2d(x, wt, stride, padding, groups)), [x, wt])
+        errs += check_grads(
+            lambda: sq(T.conv_transpose2d(v, wt, stride, padding, opad, groups)), [v, wt])
+        assert max(errs) < 1e-6
+
+    def test_constant_input_gets_no_grad_and_same_weight_grad(self, monkeypatch):
+        # the input's gradient is not computed at all: no col2im scatter
+        scatters = []
+        col2im = T._col2im
+        monkeypatch.setattr(T, "_col2im", lambda *a: scatters.append(1) or col2im(*a))
+        rng = seeded_rng(0, "const-input")
+        xd = rng.normal(size=(2, 4, 7, 7))
+        for op, w_shape, args in ((T.conv2d, (6, 2, 3, 3), (2, 1, 2)),
+                                  (T.conv_transpose2d, (4, 3, 3, 3), (2, 1, 0, 2))):
+            wd = rng.normal(size=w_shape)
+            w_grads = []
+            for x_req in (True, False):
+                x = Tensor(xd.copy(), requires_grad=x_req)
+                w = Tensor(wd.copy(), requires_grad=True)
+                y = op(x, w, *args)
+                scatters.clear()
+                T.tsum(y * y).backward()
+                assert (x.grad is not None) == x_req
+                if op is T.conv2d:
+                    assert len(scatters) == int(x_req)
+                w_grads.append(w.grad)
+            assert np.array_equal(w_grads[0], w_grads[1])
+
     def test_out_size_formula(self):
         assert T.conv_out_size(28, 3, 2, 1) == 14
         assert T.conv_out_size(7, 3, 2, 1) == 4
         assert T.conv_out_size(5, 1, 1, 0) == 5
+
+
+def batch_norm_composite(x, gamma, beta, eps):
+    """The per-op formula BatchNorm2d's training path used before T.batch_norm."""
+    c = x.shape[1]
+    shape = (1, c, 1, 1)
+    mu = T.tmean(x, axis=(0, 2, 3), keepdims=True)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=(0, 2, 3), keepdims=True)
+    xhat = centered / T.sqrt(var + eps)
+    return xhat * gamma.reshape(shape) + beta.reshape(shape), mu.data, var.data
+
+
+class TestBatchNorm:
+    def _inputs(self, tag, shape=(3, 4, 5, 6)):
+        rng = seeded_rng(0, "bn", tag)
+        x = Tensor(rng.normal(size=shape) * 3 + 1, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 2.0, size=shape[1]), requires_grad=True)
+        beta = Tensor(rng.normal(size=shape[1]), requires_grad=True)
+        return x, gamma, beta, rng
+
+    def test_gradcheck(self):
+        x, gamma, beta, rng = self._inputs("grad")
+        probe = rng.normal(size=x.shape)
+        errs = check_grads(
+            lambda: T.tsum(T.batch_norm(x, gamma, beta) * T.constant(probe)),
+            [x, gamma, beta])
+        assert max(errs) < 1e-6
+
+    def test_unit_gamma_zero_beta_standardizes_each_channel(self):
+        x, _, _, _ = self._inputs("invariant")
+        c = x.shape[1]
+        y = T.batch_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), eps=0.0).data
+        np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-12)
+
+    def test_matches_composite_formula(self):
+        x, gamma, beta, rng = self._inputs("composite")
+        probe = rng.normal(size=x.shape)
+        c = x.shape[1]
+        n = x.data.size // c
+        results = []
+        for fused in (True, False):
+            for t in (x, gamma, beta):
+                t.zero_grad()
+            rm, rv = np.zeros(c), np.ones(c)
+            if fused:
+                y = T.batch_norm(x, gamma, beta, 1e-5, rm, rv, 0.1)
+            else:
+                y, mu, var = batch_norm_composite(x, gamma, beta, 1e-5)
+                rm = 0.1 * mu.reshape(c)
+                rv = 0.9 + 0.1 * (var.reshape(c) * (n / (n - 1)))
+            T.tsum(y * T.constant(probe)).backward()
+            results.append([y.data, x.grad, gamma.grad, beta.grad, rm, rv])
+        for got, want in zip(*results):
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(got - want).max() / scale < 1e-12
+
+    def test_layer_training_path_is_one_node(self):
+        from encapnet.layers import BatchNorm2d
+        bn = BatchNorm2d(4)
+        x, _, _, _ = self._inputs("layer")
+        y = bn(x)
+        assert y.op == "batch_norm" and len(y._parents) == 3
+        assert not np.array_equal(bn._buffers["running_mean"], np.zeros(4))
+
+
+class TestNoGrad:
+    def test_nodes_have_no_parents_and_no_backward(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with T.no_grad():
+            y = T.tsum(T.relu(x * 2.0) + x)
+            z = T.batch_norm(Tensor(np.ones((2, 3, 2, 2)), requires_grad=True),
+                             x.data[0], x.data[1])
+        for node in (y, z):
+            assert node._parents == () and node._backward is None
+            assert not node.requires_grad
+        assert y.item() == float((np.maximum(x.data * 2.0, 0) + x.data).sum())
+        y.backward()
+        assert x.grad is None
+
+    def test_flag_restored_after_exception_and_nesting(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert (x * x)._backward is None
+                raise RuntimeError("boom")
+        y = x * x
+        assert y.requires_grad and y._parents == (x, x)
+
+    def test_evaluate_identical_with_and_without(self, monkeypatch):
+        from encapnet.data import synth_generate
+        from encapnet.network import ModuleSpec, NetworkConfig, StemSpec, build_network
+        from encapnet.training import evaluate
+
+        cfg = NetworkConfig(family="encapnet", n_classes=4, image_size=12,
+                            stem=StemSpec(channels=(8,), strides=(1,)), caps_channels=4,
+                            class_caps_dim=4, modules=(ModuleSpec(2, 4, stride=2),))
+        images, labels = synth_generate(12, cfg.n_classes, cfg.image_size, seed=5)
+        model = build_network(cfg, seed=1)
+        with_it = evaluate(model, images, labels, batch_size=5)
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        without = evaluate(model, images, labels, batch_size=5)
+        assert with_it == without
+
+    def test_check_grads_identical_with_and_without(self, monkeypatch):
+        rng = seeded_rng(0, "nograd-check")
+        x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+
+        def build():
+            y = T.relu(T.batch_norm(T.conv2d(x, w, 1, 1, 2), Tensor(np.ones(4)),
+                                    Tensor(np.zeros(4))))
+            return T.tsum(y * y)
+
+        with_it = check_grads(build, [x, w])
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        assert check_grads(build, [x, w]) == with_it
 
 
 class TestBackward:
@@ -204,6 +381,16 @@ class TestBackward:
         y = T.tsum(x * x + x * x)
         y.backward()
         assert x.grad[0] == pytest.approx(12.0, abs=1e-14)
+
+    def test_first_touch_does_not_alias_shared_gradient(self):
+        # add hands the same g to both parents; s's later accumulation must
+        # not leak into a.grad, nor a's into s.grad (and so into b.grad)
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        s = a + b
+        T.tsum(s + a).backward()
+        assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
+        assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
     def test_constant_leaves_keep_no_grad(self):
         x = Tensor(np.ones(3), requires_grad=True)
