@@ -23,7 +23,7 @@ _EXPORTS = {
     "CapConvSpec": "capconv",
     "EncapModule": "capconv",
     "OTConfig": "sinkhorn",
-    "sinkhorn_iterates": "sinkhorn",
+    "sinkhorn_plan": "sinkhorn",
     "ot_loss": "sinkhorn",
     "sinkhorn_divergence": "sinkhorn",
     "brute_force_ot": "sinkhorn",

@@ -19,7 +19,7 @@ from .capconv import CapConv, CapConvSpec
 from .gradcheck import DEFAULT_H, DEFAULT_TOL, check_grads, fd_gradients, rel_error
 from .network import ModuleSpec, NetworkConfig, StemSpec, build_network
 from .routing import CapNetLayer
-from .sinkhorn import Extractor, Generator, OTConfig, sinkhorn_iterates, ot_loss
+from .sinkhorn import Extractor, Generator, OTConfig, ot_loss, sinkhorn_plan
 
 
 def _sq_sum(t: Tensor) -> Tensor:
@@ -128,7 +128,7 @@ def _check_ot_stop_gradient(h, tol):
     loss = ot_loss(q, eps=0.1, iters=10, stop_gradient=True)
     q.grad = None
     loss.backward()
-    plan = sinkhorn_iterates(q.data, eps=0.1, iters=10).P
+    plan = sinkhorn_plan(q.data, eps=0.1, iters=10)
     exact_gap = float(np.max(np.abs(q.grad - plan)))
     if exact_gap != 0.0:
         return np.inf, f"analytic gradient differs from plan by {exact_gap}"

@@ -81,9 +81,6 @@ class Layer:
         for _, child in self.children():
             child.set_mode(training)
 
-    def param_count(self) -> int:
-        return sum(t.data.size for _, t in self.named_params())
-
 
 class Conv2d(Layer):
     """Grouped convolution, no bias (batch norm always follows here)."""
@@ -101,28 +98,6 @@ class Conv2d(Layer):
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.stride, self.padding, self.groups)
-
-
-class ConvTranspose2d(Layer):
-    """Grouped transposed convolution (adjoint of Conv2d's map)."""
-
-    def __init__(self, cin: int, cout: int, kernel: int, stride: int = 1,
-                 padding: int = 0, output_padding: int = 0, groups: int = 1,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        if cin % groups or cout % groups:
-            raise ConfigError(f"deconv channels ({cin}->{cout}) not divisible by groups={groups}")
-        self.stride, self.padding, self.output_padding = stride, padding, output_padding
-        self.groups = groups
-        rng = rng or np.random.default_rng(0)
-        fan_in = (cin // groups) * kernel * kernel
-        # weight layout matches conv2d with roles swapped: (cin, cout/groups, k, k)
-        self.weight = self.add_param(
-            "weight", gaussian_init(rng, (cin, cout // groups, kernel, kernel), fan_in))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv_transpose2d(x, self.weight, self.stride, self.padding,
-                                  self.output_padding, self.groups)
 
 
 class BatchNorm2d(Layer):

@@ -221,15 +221,6 @@ class EncapNet(Layer):
         caps = grid_to_capsules(h, self._caps_last, self.cfg.class_caps_dim)
         return self.capfc(caps), ot_values
 
-    def blob_shapes(self, x: Tensor):
-        """Shape of the stem output and of every module output, for audits."""
-        h = self.stem(x)
-        shapes = [h.shape]
-        for mod in self.modules:
-            h, _ = mod(h)
-            shapes.append(h.shape)
-        return shapes
-
 
 class CapNet(Layer):
     """Stem followed by two routed capsule layers; the second is the class layer."""
@@ -264,15 +255,6 @@ class CapNet(Layer):
         h = self.class_layer(h)
         caps = grid_to_capsules(h, self.cfg.n_classes, self.cfg.class_caps_dim)
         return caps, []
-
-    def blob_shapes(self, x: Tensor):
-        h = self.stem(x)
-        shapes = [h.shape]
-        h = self.hidden_layer(h)
-        shapes.append(h.shape)
-        h = self.class_layer(h)
-        shapes.append(h.shape)
-        return shapes
 
 
 class VanillaCNN(Layer):
@@ -317,17 +299,6 @@ class VanillaCNN(Layer):
         logits = self.fc(pooled)
         caps = logits.reshape((logits.shape[0], self.cfg.n_classes, 1))
         return squash(caps, axis=-1), []
-
-    def blob_shapes(self, x: Tensor):
-        h = self.stem(x)
-        shapes = [h.shape]
-        i = 0
-        for ms in self.cfg.modules:
-            for _ in range(ms.n_type2 + 1):
-                h = T.relu(self.bns[i](self.convs[i](h)))
-                i += 1
-            shapes.append(h.shape)
-        return shapes
 
 
 def build_network(cfg: NetworkConfig, seed: int = 0) -> Layer:

@@ -2,11 +2,16 @@
 
 A generator deconvolves a higher capsule blob back to the lower one's shape;
 a small extractor maps both real and generated blobs to feature vectors; the
-debiased Sinkhorn divergence between the two feature sets is the agreement
-penalty. Iterations run in the log domain. By default the coupling is treated
-as a constant during backprop (the gradient w.r.t. the cost matrix is the
-coupling itself); switching stop_gradient off differentiates through all L
-iterations instead.
+debiased Sinkhorn divergence 2 W(x,y) - W(x,x) - W(y,y) between the two
+feature sets is the agreement penalty.
+
+There is one Sinkhorn recursion, sinkhorn_log_plan: L log-domain scaling
+rounds built from tape ops over a (..., B2, B1) cost, whose leading axes are
+independent problems. The debiased divergence stacks its three costs into
+one (3, B, B) batch and solves them in a single call. By default the plan is
+treated as a constant during backprop: the same recursion runs under
+tensor.no_grad and the gradient w.r.t. the cost is the plan itself.
+Switching stop_gradient off differentiates through all L rounds instead.
 
 Conventions: cost matrices are (Bx, By) with rows indexed by the generated
 set; marginals are uniform, 1/m per atom, so total transported mass is 1.
@@ -62,74 +67,65 @@ def cost_matrix(x: Tensor, y: Tensor, kind: str = "cosine") -> Tensor:
     raise ConfigError(f"unknown cost {kind!r}")
 
 
-@dataclass
-class Coupling:
-    P: np.ndarray      # (B2, B1) transport plan, total mass 1
+def sinkhorn_log_plan(Q, eps: float, iters: int) -> Tensor:
+    """log P after L scaling rounds against uniform marginals, on the tape.
 
-
-def _lse(z: np.ndarray, axis: int) -> np.ndarray:
-    m = z.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def sinkhorn_iterates(Q: np.ndarray, eps: float, iters: int) -> Coupling:
-    """L rounds of scaling updates against uniform marginals, log domain.
-
-    Each round refreshes the column scaling from the current row scaling and
-    then the row scaling from it, so rounds end on the row side; the returned
-    plan applies the column scaling consistent with the final row scaling,
-    which pins the column marginal exactly and leaves the row marginal one
-    half-step stale.
+    Q is (..., B2, B1); leading axes index independent problems. Each round
+    refreshes the column scaling from the current row scaling and then the row
+    scaling from it, so rounds end on the row side; the closing column update
+    pins the column marginal exactly and leaves the row marginal one half-step
+    stale.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2:
-        raise ShapeError(f"cost matrix must be 2-D, got {Q.shape}")
+    Q = as_tensor(Q)
+    if Q.ndim < 2:
+        raise ShapeError(f"cost matrix must be at least 2-D, got {Q.shape}")
     if iters < 1:
         raise ConfigError("iters must be >= 1")
-    b2, b1 = Q.shape
-    logK = -Q / eps
-    lb = np.full(b2, -np.log(b2))
-    for _ in range(iters):
-        la = -np.log(b1) - _lse(logK + lb[:, None], axis=0)
-        lb = -np.log(b2) - _lse(logK + la[None, :], axis=1)
-    la = -np.log(b1) - _lse(logK + lb[:, None], axis=0)
-    logP = lb[:, None] + logK + la[None, :]
-    return Coupling(P=np.exp(logP))
-
-
-def _sinkhorn_log_tensors(Q: Tensor, eps: float, iters: int) -> Tensor:
-    """Differentiable twin of sinkhorn_iterates; returns log P on the tape."""
-    b2, b1 = Q.shape
+    b2, b1 = Q.shape[-2:]
     logK = Q * (-1.0 / eps)
     lb = T.constant(np.full((b2, 1), -np.log(b2)))
-    la = None
-    for _ in range(iters + 1):
-        la = (-np.log(b1)) - T.logsumexp(logK + lb, axis=0, keepdims=True)
-        if _ == iters:
-            break
-        lb = (-np.log(b2)) - T.logsumexp(logK + la, axis=1, keepdims=True)
+    for _ in range(iters):
+        la = (-np.log(b1)) - T.logsumexp(logK + lb, axis=-2, keepdims=True)
+        lb = (-np.log(b2)) - T.logsumexp(logK + la, axis=-1, keepdims=True)
+    la = (-np.log(b1)) - T.logsumexp(logK + lb, axis=-2, keepdims=True)
     return lb + logK + la
 
 
+def sinkhorn_plan(Q, eps: float, iters: int) -> np.ndarray:
+    """The plan exp(log P) of sinkhorn_log_plan as an array; builds no tape."""
+    with T.no_grad():
+        return np.exp(sinkhorn_log_plan(Q, eps, iters).data)
+
+
 def ot_loss(Q, eps: float = 0.1, iters: int = 10, stop_gradient: bool = True) -> Tensor:
-    """<Q, P> after L Sinkhorn rounds; gradient w.r.t. Q is P when stopped."""
+    """<Q, P> per problem after L Sinkhorn rounds, summed over the last two axes.
+
+    When stopped, P is a constant, so the gradient w.r.t. Q is the plan itself.
+    """
     Q = as_tensor(Q)
     if stop_gradient:
-        coupling = sinkhorn_iterates(Q.data, eps, iters)
-        return T.tsum(Q * T.constant(coupling.P.astype(Q.dtype)))
-    logP = _sinkhorn_log_tensors(Q, eps, iters)
-    return T.tsum(Q * T.exp(logP))
+        P = T.constant(sinkhorn_plan(Q, eps, iters))
+    else:
+        P = T.exp(sinkhorn_log_plan(Q, eps, iters))
+    return T.tsum(Q * P, axis=(-2, -1))
 
 
 def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
-    """Debiased agreement: 2 W(x,y) - W(x,x) - W(y,y); identical sets give 0."""
+    """Debiased agreement: 2 W(x,y) - W(x,x) - W(y,y); identical sets give 0.
+
+    The three problems are solved as one stacked (3, B, B) batch, so the
+    debiased form needs two sets of the same size.
+    """
     x, y = as_tensor(x_feats), as_tensor(y_feats)
-    w_xy = ot_loss(cost_matrix(x, y, cfg.cost), cfg.eps, cfg.iters, cfg.stop_gradient)
     if not cfg.debiased:
-        return w_xy
-    w_xx = ot_loss(cost_matrix(x, x, cfg.cost), cfg.eps, cfg.iters, cfg.stop_gradient)
-    w_yy = ot_loss(cost_matrix(y, y, cfg.cost), cfg.eps, cfg.iters, cfg.stop_gradient)
-    return 2.0 * w_xy - w_xx - w_yy
+        return ot_loss(cost_matrix(x, y, cfg.cost), cfg.eps, cfg.iters, cfg.stop_gradient)
+    if x.shape[:1] != y.shape[:1]:
+        raise ShapeError(f"debiased divergence needs equal-size sets: {x.shape} vs {y.shape}")
+    b = x.shape[0]
+    costs = [T.reshape(cost_matrix(a, c, cfg.cost), (1, b, b))
+             for a, c in ((x, y), (x, x), (y, y))]
+    w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters, cfg.stop_gradient)
+    return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:

@@ -479,12 +479,11 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     s = e.sum(axis=axis, keepdims=True)
     out_keep = m + np.log(s)
     out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-    soft = e / s
 
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(g * soft)
+        a._accumulate(g * (e / s))
 
     return _make(out_data, (a,), back, "logsumexp")
 

@@ -30,7 +30,7 @@ from encapnet.network import build_network
 from encapnet.routing import (dynamic_routing, em_routing, routing_histogram,
                               write_histogram_csv)
 from encapnet.sinkhorn import (OTConfig, brute_force_ot, cost_matrix,
-                               sinkhorn_divergence, sinkhorn_iterates)
+                               sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 from encapnet.training import train_model
 
@@ -85,7 +85,7 @@ def test_ot_loss_matches_brute_force_oracle():
         n = int(rng.integers(2, 5))
         Q = rng.uniform(0.0, 2.0, size=(n, n))
         exact = brute_force_ot(Q)
-        ent = float((Q * sinkhorn_iterates(Q, eps=0.01, iters=200).P).sum())
+        ent = float((Q * sinkhorn_plan(Q, eps=0.01, iters=200)).sum())
         gap = abs(ent - exact)
         assert gap <= max(0.02 * abs(exact), 1e-3)
         worst = max(worst, gap)
@@ -105,15 +105,15 @@ def test_sinkhorn_invariants():
         x = Tensor(rng.normal(size=(B, 16)))
         y = Tensor(rng.normal(size=(B, 16)))
         Q = cost_matrix(x, y, "cosine").data
-        c = sinkhorn_iterates(Q, eps=0.1, iters=10)
-        assert np.abs(c.P.sum(axis=0) - 1.0 / B).max() < 1e-6
-        assert np.abs(c.P.sum(axis=1) - 1.0 / B).max() < 1e-3
+        P = sinkhorn_plan(Q, eps=0.1, iters=10)
+        assert np.abs(P.sum(axis=0) - 1.0 / B).max() < 1e-6
+        assert np.abs(P.sum(axis=1) - 1.0 / B).max() < 1e-3
 
     # the column pin needs no regime assumption at all
     for seed in range(5):
         Q = seeded_rng(seed, "cost").uniform(0.0, 2.0, size=(6, 6))
-        c = sinkhorn_iterates(Q, eps=0.1, iters=10)
-        assert np.abs(c.P.sum(axis=0) - 1.0 / 6).max() < 1e-6
+        P = sinkhorn_plan(Q, eps=0.1, iters=10)
+        assert np.abs(P.sum(axis=0) - 1.0 / 6).max() < 1e-6
 
     # debiased divergence vanishes on identical sample sets
     cfg = OTConfig(eps=0.1, iters=10)
@@ -133,11 +133,11 @@ def test_sinkhorn_invariants():
     final_gap = 0.0
     for seed in range(4):
         Q = seeded_rng(seed + 10, "cost").uniform(0.0, 2.0, size=(5, 5))
-        opt_plan = sinkhorn_iterates(Q, 0.05, 3000).P
+        opt_plan = sinkhorn_plan(Q, 0.05, 3000)
         opt = float((Q * opt_plan).sum())
         kls, gaps = [], []
         for L in (1, 2, 5, 10, 50):
-            P = sinkhorn_iterates(Q, 0.05, L).P
+            P = sinkhorn_plan(Q, 0.05, L)
             kls.append(kl(opt_plan, P))
             gaps.append(abs(float((Q * P).sum()) - opt))
         for early, late in zip(kls, kls[1:]):

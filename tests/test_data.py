@@ -247,11 +247,11 @@ class TestConfigFile:
     def test_shipped_configs_parse_and_build(self):
         import glob
         import os
-        from encapnet.network import build_network
+        from encapnet.network import build_network, parameter_table
         paths = sorted(glob.glob(os.path.join(
             os.path.dirname(__file__), "..", "configs", "*.ini")))
         assert paths, "no shipped configs found"
         for p in paths:
             rc = load_config(p)
             net = build_network(rc.net, seed=0)
-            assert net.param_count() > 0
+            assert parameter_table(net)[1] > 0

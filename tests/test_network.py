@@ -1,5 +1,7 @@
 """Network assembly, checkpoints, and the optimizer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,22 @@ class TestAssembly:
         x = Tensor(seeded_rng(1, "x").normal(size=(2, 1, 12, 12)))
         enc.set_mode(False)
         cnn.set_mode(False)
-        assert enc.blob_shapes(x) == cnn.blob_shapes(x)
+        # blob shapes after the stem and after every module, walked in each net
+        h = enc.stem(x)
+        enc_shapes = [h.shape]
+        for mod in enc.modules:
+            h, _ = mod(h)
+            enc_shapes.append(h.shape)
+        h = cnn.stem(x)
+        cnn_shapes = [h.shape]
+        pairs = iter(zip(cnn.convs, cnn.bns))
+        for ms in cfg.modules:
+            for conv, bn in itertools.islice(pairs, ms.n_type2 + 1):
+                h = T.relu(bn(conv(h)))
+            cnn_shapes.append(h.shape)
+        assert next(pairs, None) is None
+        assert enc_shapes == cnn_shapes
+        assert [s[2:] for s in enc_shapes] == [(hw, hw) for hw in cfg.module_hws()]
         caps, _ = cnn(x)
         assert caps.shape == (2, 4, 1)
         assert np.linalg.norm(caps.data, axis=-1).max() < 1.0

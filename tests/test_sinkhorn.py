@@ -5,10 +5,11 @@ import pytest
 
 from encapnet import tensor as T
 from encapnet.errors import ConfigError, ShapeError
-from encapnet.sinkhorn import (Coupling, Extractor, FeedbackUnit, Generator,
+from encapnet.gradcheck import check_grads
+from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
                                OTConfig, brute_force_ot, cost_matrix,
                                kl_divergence, kl_loss, ot_loss,
-                               sinkhorn_divergence, sinkhorn_iterates)
+                               sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 
 
@@ -30,8 +31,8 @@ class TestIterates:
         # rounds end on a column update, so that marginal is machine-exact
         for seed in range(5):
             Q = random_cost(6, seed)
-            c = sinkhorn_iterates(Q, eps=0.1, iters=10)
-            np.testing.assert_allclose(c.P.sum(axis=0), 1.0 / 6, atol=1e-16)
+            P = sinkhorn_plan(Q, eps=0.1, iters=10)
+            np.testing.assert_allclose(P.sum(axis=0), 1.0 / 6, atol=1e-16)
 
     def test_row_marginal_half_step_stale(self):
         # the row side is refreshed one half-step before the closing column
@@ -42,8 +43,8 @@ class TestIterates:
             x = Tensor(rng.normal(size=(B, 16)))
             y = Tensor(rng.normal(size=(B, 16)))
             Q = cost_matrix(x, y, "cosine").data
-            c = sinkhorn_iterates(Q, eps=0.1, iters=10)
-            assert np.abs(c.P.sum(axis=1) - 1.0 / B).max() < 1e-3
+            P = sinkhorn_plan(Q, eps=0.1, iters=10)
+            assert np.abs(P.sum(axis=1) - 1.0 / B).max() < 1e-3
 
     def test_row_marginal_tiny_sets_need_more_rounds(self):
         # a 6-point set keeps 1/6 of all mass in every row and L=10 is not
@@ -51,7 +52,7 @@ class TestIterates:
         # contracts with extra rounds while the column pin never moves
         Q = random_cost(6, 4)
         def row_dev(L):
-            return np.abs(sinkhorn_iterates(Q, 0.1, L).P.sum(axis=1)
+            return np.abs(sinkhorn_plan(Q, 0.1, L).sum(axis=1)
                           - 1.0 / 6).max()
         assert row_dev(200) < 1e-3
         assert row_dev(200) < row_dev(50) < row_dev(10)
@@ -67,11 +68,11 @@ class TestIterates:
 
         for seed in range(4):
             Q = random_cost(5, seed + 10)
-            opt_plan = sinkhorn_iterates(Q, 0.05, 3000).P
+            opt_plan = sinkhorn_plan(Q, 0.05, 3000)
             opt = float((Q * opt_plan).sum())
             kls, gaps = [], []
             for L in (1, 2, 5, 10, 50):
-                P = sinkhorn_iterates(Q, 0.05, L).P
+                P = sinkhorn_plan(Q, 0.05, L)
                 kls.append(kl(opt_plan, P))
                 gaps.append(abs(float((Q * P).sum()) - opt))
             for early, late in zip(kls, kls[1:]):
@@ -82,23 +83,31 @@ class TestIterates:
         # Q = [[0,1],[1,0]] at eps=0.1: by symmetry the entropic optimum has
         # off-diagonal cells 0.5*exp(-1/eps)/(1+exp(-1/eps)), tiny but nonzero
         Q = np.array([[0.0, 1.0], [1.0, 0.0]])
-        c = sinkhorn_iterates(Q, eps=0.1, iters=200)
+        P = sinkhorn_plan(Q, eps=0.1, iters=200)
         off = 0.5 * np.exp(-10.0) / (1.0 + np.exp(-10.0))
         expect = np.array([[0.5 - off, off], [off, 0.5 - off]])
-        np.testing.assert_allclose(c.P, expect, atol=1e-12)
-        assert float((Q * c.P).sum()) < 1e-4
+        np.testing.assert_allclose(P, expect, atol=1e-12)
+        assert float((Q * P).sum()) < 1e-4
+
+    def test_stacked_problems_equal_separate_solves(self):
+        # leading axes are independent problems, solved bitwise as if alone
+        Qs = np.stack([random_cost(5, seed) for seed in range(3)])
+        batched = sinkhorn_plan(Qs, eps=0.1, iters=10)
+        assert batched.shape == (3, 5, 5)
+        for k in range(3):
+            np.testing.assert_array_equal(batched[k], sinkhorn_plan(Qs[k], 0.1, 10))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ShapeError):
-            sinkhorn_iterates(np.zeros(3), 0.1, 5)
+            sinkhorn_plan(np.zeros(3), 0.1, 5)
         with pytest.raises(ConfigError):
-            sinkhorn_iterates(np.zeros((2, 2)), 0.1, 0)
+            sinkhorn_plan(np.zeros((2, 2)), 0.1, 0)
 
     def test_handles_large_costs_without_overflow(self):
         Q = random_cost(4, 0) * 1000
-        c = sinkhorn_iterates(Q, eps=0.01, iters=50)
-        assert np.all(np.isfinite(c.P))
-        np.testing.assert_allclose(c.P.sum(), 1.0, atol=1e-12)
+        P = sinkhorn_plan(Q, eps=0.01, iters=50)
+        assert np.all(np.isfinite(P))
+        np.testing.assert_allclose(P.sum(), 1.0, atol=1e-12)
 
 
 class TestOracle:
@@ -111,7 +120,7 @@ class TestOracle:
             n = 2 + seed % 3
             Q = random_cost(n, seed + 20)
             exact = brute_force_ot(Q)
-            ent = float((Q * sinkhorn_iterates(Q, 0.01, 200).P).sum())
+            ent = float((Q * sinkhorn_plan(Q, 0.01, 200)).sum())
             # a not-yet-feasible plan may undercut the LP value, but never by
             # more than the entropic slack
             assert exact <= ent + 0.01 * np.log(n) + 1e-9
@@ -129,7 +138,7 @@ class TestOTLoss:
         Q = Tensor(random_cost(5, 1), requires_grad=True)
         loss = ot_loss(Q, eps=0.1, iters=10, stop_gradient=True)
         loss.backward()
-        plan = sinkhorn_iterates(Q.data, 0.1, 10).P
+        plan = sinkhorn_plan(Q.data, 0.1, 10)
         np.testing.assert_array_equal(Q.grad, plan)
 
     def test_unrolled_matches_value(self):
@@ -172,6 +181,21 @@ class TestDivergence:
         x = Tensor(rng.normal(size=(5, 7)))
         y = Tensor(rng.normal(size=(5, 7)) + 3.0)
         assert float(sinkhorn_divergence(x, y, cfg).data) > 0
+
+    def test_debiased_needs_equal_set_sizes(self):
+        rng = seeded_rng(2, "d")
+        x = Tensor(rng.normal(size=(4, 7)))
+        y = Tensor(rng.normal(size=(5, 7)))
+        with pytest.raises(ShapeError, match=r"\(4, 7\).*\(5, 7\)"):
+            sinkhorn_divergence(x, y, OTConfig())
+
+    def test_unrolled_gradient_matches_finite_differences(self):
+        cfg = OTConfig(eps=0.1, iters=10, stop_gradient=False)
+        rng = seeded_rng(3, "d")
+        x = Tensor(rng.normal(size=(3, 2)))
+        y = Tensor(rng.normal(size=(3, 2)))
+        errs = check_grads(lambda: sinkhorn_divergence(x, y, cfg), [x, y])
+        assert max(errs) < 1e-6
 
     def test_biased_variant_nonzero_on_self(self):
         cfg = OTConfig(eps=0.5, iters=10, debiased=False)
