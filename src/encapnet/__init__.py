@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Tensor": "tensor",
     "seeded_rng": "tensor",
-    "set_default_dtype": "tensor",
     "squash": "capsules",
     "margin_loss": "capsules",
     "predict": "capsules",

@@ -53,9 +53,9 @@ class CapConvSpec:
             raise ConfigError("the masked aide needs at least 2 capsule channels")
 
 
-def _aide_mask(caps: int, dim_out: int, dim_in: int, dtype) -> np.ndarray:
+def _aide_mask(caps: int, dim_out: int, dim_in: int) -> np.ndarray:
     """Zero out each output capsule's view of its same-index input capsule."""
-    mask = np.ones((caps * dim_out, caps * dim_in, 1, 1), dtype=dtype)
+    mask = np.ones((caps * dim_out, caps * dim_in, 1, 1))
     for c in range(caps):
         mask[c * dim_out:(c + 1) * dim_out, c * dim_in:(c + 1) * dim_in] = 0.0
     return mask
@@ -64,8 +64,7 @@ def _aide_mask(caps: int, dim_out: int, dim_in: int, dtype) -> np.ndarray:
 class CapConv(Layer):
     """Master/aide capsule conv layer; see module docstring.
 
-    coefficient_override, when set to a (m1, m2) float pair, bypasses the
-    learned gates; master_only is exactly the (1, 0) override with no aide.
+    master_only has no aide and no gate: the layer is squash(relu(bn(master))).
     """
 
     _children = ("master", "aide", "gate", "bn")
@@ -76,11 +75,9 @@ class CapConv(Layer):
         c, d1, d2 = spec.caps, spec.dim_in, spec.dim_out
         self.master = Conv2d(c * d1, c * d2, spec.kernel, spec.stride, spec.padding,
                              groups=c, rng=seeded_rng(seed, name, "master"))
-        self.coefficient_override: tuple[float, float] | None = None
         if spec.interaction == "master_only":
             self.aide = None
             self.gate = None
-            self.coefficient_override = (1.0, 0.0)
         else:
             # aide: kernel 1, stride matched to the master so shapes agree
             self.aide = Conv2d(c * d1, c * d2, 1, spec.stride, 0, groups=1,
@@ -88,7 +85,7 @@ class CapConv(Layer):
             if spec.aide_all_channels:
                 self._mask = None
             else:
-                self._mask = T.constant(_aide_mask(c, d2, d1, T.get_default_dtype()))
+                self._mask = T.constant(_aide_mask(c, d2, d1))
             gate_in = 2 * d2 if spec.interaction == "v3" else d2
             gate_out = 2 if spec.interaction == "v3" else 1
             self.gate = Conv2d(c * gate_in, c * gate_out, 1, 1, 0, groups=c,
@@ -138,14 +135,10 @@ class CapConv(Layer):
             v2 = self._aide_votes(x)
             if v2.shape != v1.shape:
                 raise ShapeError(f"master {v1.shape} / aide {v2.shape} disagree")
-            if self.coefficient_override is not None:
-                f1, f2 = self.coefficient_override
-                s = f1 * v1 + f2 * v2
-            else:
-                m1, m2 = self._coefficients(v1, v2)
-                s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
-                     + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
-                s = T.reshape(s, (b, c * d2, h, w))
+            m1, m2 = self._coefficients(v1, v2)
+            s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
+                 + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
+            s = T.reshape(s, (b, c * d2, h, w))
         out = T.relu(self.bn(s))
         return grid_squash(out, c, d2)
 

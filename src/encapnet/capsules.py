@@ -63,7 +63,7 @@ def margin_loss(v: Tensor, labels: np.ndarray, m_plus: float = 0.9,
         raise ShapeError(f"labels shape {labels.shape} != ({b},)")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValueError(f"label out of range [0, {k})")
-    onehot = np.zeros((b, k), dtype=T.get_default_dtype())
+    onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
     t = T.constant(onehot)
     norms = capsule_norms(v)

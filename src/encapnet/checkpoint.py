@@ -171,4 +171,4 @@ def restore_model(model: Layer, ckpt: CheckpointData) -> None:
     for name, p in params.items():
         p.data = ckpt.params[name].astype(p.data.dtype, copy=True)
     for name, arr in ckpt.buffers.items():
-        model.set_buffer(name, arr)
+        buffers[name][...] = arr

@@ -136,8 +136,7 @@ def cmd_eval(args) -> int:
     model = build_network(rc.net, seed=rc.train.seed)
     restore_model(model, ck)
     _, _, test_x, test_y = load_dataset(dc)
-    error, accuracy, margin = evaluate(model, test_x, test_y, args.batch,
-                                       rc.train.dtype)
+    error, accuracy, margin = evaluate(model, test_x, test_y, args.batch)
     print(f"test error {error:.6f}  accuracy {accuracy:.6f}  "
           f"margin loss {margin:.6f}  ({test_x.shape[0]} examples)")
     return 0
@@ -226,7 +225,7 @@ def cmd_routing_hist(args) -> int:
 
     from .checkpoint import load_checkpoint, restore_model
     from .configfile import parse_config_text
-    from .data import load_dataset
+    from .data import batches, load_dataset
     from .errors import ConfigError
     from .network import CapNet, build_network
     from .routing import routing_histogram, write_histogram_csv
@@ -240,17 +239,15 @@ def cmd_routing_hist(args) -> int:
     restore_model(model, ck)
     dc = _apply_data_overrides(rc.data, args)
     _, _, test_x, test_y = load_dataset(dc)
-    test_x = test_x[:args.limit]
+    test_x, test_y = test_x[:args.limit], test_y[:args.limit]
 
     layer = model.class_layer if args.layer == "class" else model.hidden_layer
     layer.keep_stats = True
     model.set_mode(False)
     votes, outputs = [], []
-    dt = np.dtype(rc.train.dtype)
-    for start in range(0, test_x.shape[0], args.batch):
-        xb = test_x[start:start + args.batch][:, None, :, :]
+    for xb, _ in batches(test_x, test_y, args.batch, shuffle=False):
         with no_grad():
-            model(Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False))
+            model(Tensor(xb))
         votes.append(layer.last_votes)
         outputs.append(layer.last_output)
     hist = routing_histogram(np.concatenate(votes), np.concatenate(outputs))

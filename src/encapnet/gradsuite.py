@@ -169,18 +169,13 @@ def run_suite(names=None, h: float = DEFAULT_H, tol: float = DEFAULT_TOL):
     """[(case, max rel err, tol, passed, note)] for the requested cases."""
     if names is None:
         names = GROUPS["all"]
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
     out = []
-    try:
-        for name in names:
-            if name == "ot_loss_stop_gradient":
-                err, note = _check_ot_stop_gradient(h, tol)
-            elif name in CASES:
-                err, note = _check_standard(CASES[name], h, tol)
-            else:
-                raise KeyError(f"unknown gradcheck case {name!r}")
-            out.append((name, float(err), tol, bool(err < tol), note))
-    finally:
-        T.set_default_dtype(prev)
+    for name in names:
+        if name == "ot_loss_stop_gradient":
+            err, note = _check_ot_stop_gradient(h, tol)
+        elif name in CASES:
+            err, note = _check_standard(CASES[name], h, tol)
+        else:
+            raise KeyError(f"unknown gradcheck case {name!r}")
+        out.append((name, float(err), tol, bool(err < tol), note))
     return out

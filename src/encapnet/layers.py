@@ -18,7 +18,7 @@ from .tensor import Tensor
 def gaussian_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Zero-mean Gaussian with std sqrt(2/fan_in)."""
     std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(T.get_default_dtype())
+    return rng.standard_normal(shape) * std
 
 
 class Layer:
@@ -63,19 +63,6 @@ class Layer:
         for cname, child in self.children():
             yield from child.named_buffers(prefix + cname + ".")
 
-    def set_buffer(self, dotted: str, value: np.ndarray) -> None:
-        head, _, rest = dotted.partition(".")
-        if not rest:
-            if head not in self._buffers:
-                raise KeyError(dotted)
-            self._buffers[head][...] = value
-            return
-        for cname, child in self.children():
-            if cname == head:
-                child.set_buffer(rest, value)
-                return
-        raise KeyError(dotted)
-
     def set_mode(self, training: bool) -> None:
         self.training = training
         for _, child in self.children():
@@ -106,11 +93,10 @@ class BatchNorm2d(Layer):
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
         self.eps, self.momentum = eps, momentum
-        dt = T.get_default_dtype()
-        self.gamma = self.add_param("gamma", np.ones(channels, dtype=dt))
-        self.beta = self.add_param("beta", np.zeros(channels, dtype=dt))
-        self.add_buffer("running_mean", np.zeros(channels, dtype=dt))
-        self.add_buffer("running_var", np.ones(channels, dtype=dt))
+        self.gamma = self.add_param("gamma", np.ones(channels))
+        self.beta = self.add_param("beta", np.zeros(channels))
+        self.add_buffer("running_mean", np.zeros(channels))
+        self.add_buffer("running_var", np.ones(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.training:
@@ -127,15 +113,11 @@ class BatchNorm2d(Layer):
 class Linear(Layer):
     """Plain fully connected map (B, n_in) -> (B, n_out)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         super().__init__()
         self.n_in, self.n_out = n_in, n_out
         self.weight = self.add_param("weight", gaussian_init(rng, (n_in, n_out), n_in))
-        self.bias = self.add_param("bias", np.zeros(n_out, dtype=T.get_default_dtype())) if bias else None
+        self.bias = self.add_param("bias", np.zeros(n_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return T.matmul(x, self.weight) + self.bias

@@ -12,8 +12,10 @@ False, so no input or intermediate buffer is kept alive for a backward pass.
 Evaluation and finite-difference forwards run this way. Backward rules skip
 the gradient of any input that does not require one.
 
-Float64 is the default dtype; set_default_dtype(np.float32) switches the whole
-stack for cheap training runs.
+Every Tensor holds float64: the constructor converts lists, scalars and
+float32 or integer arrays, and stores float64 arrays without a copy. The
+finite-difference gradient checks and the bitwise stop-gradient tests rely
+on that precision.
 """
 
 from __future__ import annotations
@@ -24,20 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-_default_dtype = np.float64
 _grad_enabled = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
 
 
 def seeded_rng(seed: int, *tags) -> np.random.Generator:
@@ -72,8 +61,7 @@ class Tensor:
                  parents: tuple = (), backward=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_default_dtype) if not isinstance(data, np.ndarray) \
-            else data
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op
@@ -103,9 +91,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, op="detach")
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -201,11 +186,11 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_default_dtype))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=_default_dtype), requires_grad=False, op="const")
+    return Tensor(x, op="const")
 
 
 class no_grad:

@@ -37,20 +37,16 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    dtype: str = "float64"
     augment: bool = False
     reshuffle_each_epoch: bool = True
     seed: int = 0
     eval_batch: int = 256
     early_stop_error: float = 0.0
-    keep_best: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(int(s) for s in self.schedule))
         if self.lr < 0 or self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("bad training hyperparameters")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
         if list(self.schedule) != sorted(self.schedule):
             raise ConfigError("lr schedule must be non-decreasing")
 
@@ -139,20 +135,18 @@ def _check_params_finite(params, epoch: int, batch_idx: int) -> None:
 
 
 def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256, dtype: str = "float64"):
+             batch_size: int = 256):
     """(error, accuracy, mean margin loss) on a fixed, unshuffled pass.
 
     Runs under no_grad: nothing here is differentiated.
     """
     model.set_mode(False)
-    dt = np.dtype(dtype)
     n = images.shape[0]
     wrong = 0
     margin_sum = 0.0
     with T.no_grad():
         for xb, yb in batches(images, labels, batch_size, shuffle=False, augment=False):
-            x = Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False)
-            caps, _ = model(x)
+            caps, _ = model(Tensor(xb))
             wrong += int((predict(caps) != yb).sum())
             margin_sum += float(margin_loss(caps, yb).data) * xb.shape[0]
     error = wrong / n
@@ -188,7 +182,6 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
     params = list(model.named_params())
     opt = Adam(params, lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2,
                eps=tcfg.adam_eps, weight_decay=tcfg.weight_decay)
-    dt = np.dtype(tcfg.dtype)
     use_feedback = tcfg.lam > 0
     t0 = time.perf_counter()
 
@@ -206,8 +199,7 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
             for bi, (xb, yb) in enumerate(batches(
                     train_x, train_y, tcfg.batch_size, seed=tcfg.seed,
                     epoch=shuffle_epoch, shuffle=True, augment=tcfg.augment)):
-                x = Tensor(np.ascontiguousarray(xb, dtype=dt), requires_grad=False)
-                caps, ots = model(x, with_feedback=use_feedback)
+                caps, ots = model(Tensor(xb), with_feedback=use_feedback)
                 margin = margin_loss(caps, yb)
                 loss = margin
                 for mi, unit_vals in enumerate(ots):
@@ -232,8 +224,7 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
             metrics.row(epoch, "train", loss_sum / n_seen, margin_sum / n_seen,
                         train_err, ot_means, opt.lr, time.perf_counter() - t0)
 
-            err, _, eval_margin = evaluate(model, test_x, test_y,
-                                           tcfg.eval_batch, tcfg.dtype)
+            err, _, eval_margin = evaluate(model, test_x, test_y, tcfg.eval_batch)
             metrics.row(epoch, "eval", eval_margin, eval_margin, err, [],
                         opt.lr, time.perf_counter() - t0)
             if log:
@@ -242,7 +233,7 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
 
             result.epochs_run = epoch + 1
             result.final_error = err
-            if tcfg.keep_best and err < result.best_error:
+            if err < result.best_error:
                 result.best_error = err
                 result.best_epoch = epoch
                 save_checkpoint(result.best_checkpoint, model, config_text,
@@ -255,7 +246,7 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
                         meta={"epoch": result.epochs_run - 1,
                               "eval_error": repr(result.final_error)})
         metrics.close()
-    if not tcfg.keep_best or result.best_epoch < 0:
+    if result.best_epoch < 0:
         result.best_checkpoint = result.final_checkpoint
         result.best_error = result.final_error
     return result

@@ -50,14 +50,6 @@ def mnist_present() -> bool:
     return all(os.path.exists(os.path.join(DATA_DIR, f)) for f in IDX_FILES)
 
 
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
-
-
 def test_complexity_numbers_exact():
     # channel extent of the one-pass vote kernel at full scale, the two
     # advertised reduction factors, and the depth formula 2 + sum(N_i + 1)

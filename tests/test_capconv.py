@@ -7,16 +7,9 @@ from encapnet import tensor as T
 from encapnet.capconv import (CapConv, CapConvSpec, EncapModule,
                               mapping_kernel_extent, mapping_param_reduction,
                               routing_ops_reduction)
+from encapnet.capsules import grid_squash
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.tensor import Tensor, seeded_rng
-
-
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
 
 
 def make_layer(interaction="v3", caps=3, dim_in=4, dim_out=4, stride=1,
@@ -109,19 +102,23 @@ class TestForward:
         assert out.shape == (2, c * d2, 3, 3)
         assert np.all(np.isfinite(out.data))
 
-    def test_master_only_equals_override(self):
-        # master_only must compute exactly what a gated layer computes when its
-        # coefficients are pinned to (1, 0): the aide contributes nothing
+    def test_master_only_is_master_bn_relu_squash(self):
+        # master_only has no aide and no gate: its output is the master votes
+        # through batch norm, relu and the per-capsule squash, nothing else
+        layer = make_layer(interaction="master_only", seed=7)
+        c, d2 = layer.spec.caps, layer.spec.dim_out
+        assert layer.aide is None and layer.gate is None
+        assert {n.split(".")[0] for n, _ in layer.named_params()} == {"master", "bn"}
+        rng = seeded_rng(5, "bn")
+        layer.bn.gamma.data = rng.uniform(0.5, 1.5, size=c * d2)
+        layer.bn.beta.data = rng.normal(size=c * d2)
+        buffers = dict(layer.named_buffers())
+        buffers["bn.running_mean"][...] = rng.normal(size=c * d2)
+        buffers["bn.running_var"][...] = rng.uniform(0.5, 2.0, size=c * d2)
+        layer.set_mode(False)
         x = Tensor(seeded_rng(5, "x").normal(size=(2, 12, 5, 5)))
-        solo = make_layer(interaction="master_only", seed=7)
-        gated = make_layer(interaction="v3", seed=7)
-        # same seed path gives identical master kernels
-        np.testing.assert_array_equal(solo.master.weight.data,
-                                      gated.master.weight.data)
-        gated.coefficient_override = (1.0, 0.0)
-        solo.set_mode(False)
-        gated.set_mode(False)
-        np.testing.assert_array_equal(solo(x).data, gated(x).data)
+        expect = grid_squash(T.relu(layer.bn(layer.master(x))), c, d2)
+        np.testing.assert_array_equal(layer(x).data, expect.data)
 
     def test_no_softmax_in_graph(self):
         # one-pass routing: the tape of a forward pass holds no softmax and no

@@ -10,14 +10,6 @@ from encapnet.errors import ShapeError
 from encapnet.tensor import Tensor, seeded_rng
 
 
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
-
-
 class TestSquash:
     def test_frozen_norms(self):
         # ||s||=1 -> 0.5, ||s||=2 -> 0.8

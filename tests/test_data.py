@@ -220,6 +220,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_text(CONFIG_TEXT.replace("lr = 0.002", "lrr = 0.002"))
 
+    def test_dtype_key_rejected(self):
+        # models are float64 only; a config that still names a dtype fails
+        bad = CONFIG_TEXT.replace("[train]", "[train]\ndtype = float32")
+        with pytest.raises(ConfigError, match="dtype"):
+            parse_config_text(bad)
+
     def test_module_gap_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(CONFIG_TEXT.replace("[module1]", "[module2]"))

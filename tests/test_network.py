@@ -16,14 +16,6 @@ from encapnet.sinkhorn import OTConfig
 from encapnet.tensor import Tensor, seeded_rng
 
 
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
-
-
 def small_cfg(**kw):
     base = dict(
         family="encapnet", n_classes=4, in_channels=1, image_size=12,
@@ -218,6 +210,23 @@ class TestCheckpoint:
         restore_model(net, load_checkpoint(path))
         for name, p in net.named_params():
             np.testing.assert_array_equal(p.data, saved[name])
+
+    def test_restore_writes_buffers_in_place(self, tmp_path):
+        net = build_network(small_cfg(), seed=3)
+        rng = seeded_rng(4, "stats")
+        buffers = dict(net.named_buffers())
+        assert buffers
+        for b in buffers.values():
+            b[...] = rng.uniform(0.5, 2.0, size=b.shape)
+        path = str(tmp_path / "model.encp")
+        save_checkpoint(path, net)
+        saved = {n: b.copy() for n, b in buffers.items()}
+        for b in buffers.values():
+            b += 1.0
+        restore_model(net, load_checkpoint(path))
+        for name, b in net.named_buffers():
+            assert b is buffers[name]
+            np.testing.assert_array_equal(b, saved[name])
 
     def test_restore_rejects_shape_mismatch_without_mutation(self, tmp_path):
         net = build_network(small_cfg(), seed=3)

@@ -14,14 +14,6 @@ from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
 from encapnet.tensor import Tensor, seeded_rng
 
 
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
-
-
 def random_votes(b=2, n1=6, n2=4, d2=5, seed=0):
     return Tensor(seeded_rng(seed, "votes").normal(size=(b, n1, n2, d2)))
 

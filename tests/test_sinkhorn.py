@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from encapnet import tensor as T
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
@@ -11,14 +10,6 @@ from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
                                kl_divergence, kl_loss, ot_loss,
                                sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
-
-
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
 
 
 def random_cost(n, seed=0):

@@ -12,14 +12,6 @@ from encapnet.gradcheck import check_grads
 from encapnet.tensor import Tensor, find_first_nonfinite, seeded_rng
 
 
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
-
-
 def conv2d_naive(x, w, stride, padding, groups):
     """Direct loop convolution used as the oracle."""
     b, cin, h, wd = x.shape
@@ -50,6 +42,14 @@ EDGE_GEOMETRIES = [(4, 8, 1, 2, 0, 1, 9, 9), (4, 6, 3, 3, 0, 2, 10, 10),
 
 
 class TestElementwise:
+    def test_every_tensor_is_float64(self):
+        for data in ([1.0, 2.0], np.ones(3, dtype=np.float32), np.arange(3)):
+            assert Tensor(data).data.dtype == np.float64
+        out = T.add(np.ones(3, dtype=np.float32), Tensor(np.ones(3)))
+        assert out.data.dtype == np.float64
+        x = np.ones(3)
+        assert Tensor(x).data is x  # float64 input is stored, not copied
+
     def test_broadcast_add_mul_grads(self):
         rng = seeded_rng(0, "bcast")
         for trial in range(5):
@@ -426,9 +426,3 @@ class TestSeededRng:
         b = seeded_rng(7, "x", 4).normal(size=4)
         c = seeded_rng(8, "x", 3).normal(size=4)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
-
-    def test_dtype_switch(self):
-        T.set_default_dtype(np.float32)
-        assert Tensor([1.0]).data.dtype == np.float32
-        T.set_default_dtype(np.float64)
-        assert Tensor([1.0]).data.dtype == np.float64

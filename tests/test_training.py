@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from encapnet import tensor as T
 from encapnet.data import synth_generate
 from encapnet.errors import ConfigError, TrainingDiverged
 from encapnet.network import ModuleSpec, NetworkConfig, StemSpec, build_network
@@ -11,14 +10,6 @@ from encapnet.sinkhorn import OTConfig
 from encapnet.training import (MetricsWriter, TrainConfig, evaluate, lr_at,
                                read_metrics, scale_config, train_model)
 from encapnet.tensor import Tensor
-
-
-@pytest.fixture(autouse=True)
-def _float64():
-    prev = T.get_default_dtype()
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(prev)
 
 
 def tiny_setup(lam=0.0, **train_kw):
