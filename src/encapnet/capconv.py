@@ -11,7 +11,7 @@ in the op graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,13 @@ class CapConvSpec:
     stride: int = 1
     padding: int = 1
     interaction: str = "v3"
-    aide_all_channels: bool = False
 
     def __post_init__(self):
         if self.interaction not in INTERACTIONS:
             raise ConfigError(f"unknown interaction {self.interaction!r}")
         if self.caps < 1 or self.dim_in < 1 or self.dim_out < 1:
             raise ConfigError("capsule counts and dims must be positive")
-        if self.interaction != "master_only" and not self.aide_all_channels and self.caps < 2:
+        if self.interaction != "master_only" and self.caps < 2:
             raise ConfigError("the masked aide needs at least 2 capsule channels")
 
 
@@ -82,10 +81,7 @@ class CapConv(Layer):
             # aide: kernel 1, stride matched to the master so shapes agree
             self.aide = Conv2d(c * d1, c * d2, 1, spec.stride, 0, groups=1,
                                rng=seeded_rng(seed, name, "aide"))
-            if spec.aide_all_channels:
-                self._mask = None
-            else:
-                self._mask = T.constant(_aide_mask(c, d2, d1))
+            self._mask = T.constant(_aide_mask(c, d2, d1))
             gate_in = 2 * d2 if spec.interaction == "v3" else d2
             gate_out = 2 if spec.interaction == "v3" else 1
             self.gate = Conv2d(c * gate_in, c * gate_out, 1, 1, 0, groups=c,
@@ -100,8 +96,8 @@ class CapConv(Layer):
         return self.master(x)
 
     def _aide_votes(self, x: Tensor) -> Tensor:
-        w = self.aide.weight if self._mask is None else self.aide.weight * self._mask
-        return T.conv2d(x, w, self.aide.stride, self.aide.padding, self.aide.groups)
+        return T.conv2d(x, self.aide.weight * self._mask, self.aide.stride,
+                        self.aide.padding, self.aide.groups)
 
     def _coefficients(self, v1: Tensor, v2: Tensor):
         """Per-capsule sigmoid gates (m1, m2), each (B, caps, H, W)."""
@@ -164,7 +160,7 @@ class EncapModule(Layer):
 
     def __init__(self, caps: int, dim_in: int, dim_out: int, n_type2: int = 0,
                  stride: int = 1, interaction: str = "v3", skip: str = "both",
-                 aide_all_channels: bool = False, seed: int = 0, name: str = "module"):
+                 seed: int = 0, name: str = "module"):
         super().__init__()
         if skip not in SKIP_MODES:
             raise ConfigError(f"unknown skip mode {skip!r}")
@@ -172,8 +168,7 @@ class EncapModule(Layer):
             raise ConfigError("n_type2 must be >= 0")
         self.skip = skip
         self.type1 = CapConv(
-            CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1,
-                        interaction=interaction, aide_all_channels=aide_all_channels),
+            CapConvSpec(caps, dim_in, dim_out, 3, stride, 1, interaction),
             seed=seed, name=f"{name}.type1")
         if skip in ("type_I", "both"):
             self.type1_skip = Conv2d(caps * dim_in, caps * dim_out, 1, stride, 0,
@@ -181,8 +176,7 @@ class EncapModule(Layer):
         else:
             self.type1_skip = None
         self.type2 = [
-            CapConv(CapConvSpec(caps, dim_out, dim_out, kernel=1, stride=1, padding=0,
-                                interaction=interaction, aide_all_channels=aide_all_channels),
+            CapConv(CapConvSpec(caps, dim_out, dim_out, 1, 1, 0, interaction),
                     seed=seed, name=f"{name}.type2_{i}")
             for i in range(n_type2)
         ]

@@ -88,10 +88,9 @@ class CapFC(Layer):
     """
 
     def __init__(self, n_in: int, n_out: int, dim: int,
-                 rng: np.random.Generator | None = None, squash_output: bool = True):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         self.n_in, self.n_out, self.dim = n_in, n_out, dim
-        self.squash_output = squash_output
         rng = rng or np.random.default_rng(0)
         self.weight = self.add_param("weight", gaussian_init(rng, (dim, n_in, n_out), n_in))
 
@@ -102,4 +101,4 @@ class CapFC(Layer):
         xt = T.transpose(x, (2, 0, 1))          # (d, B, n_in)
         y = T.matmul(xt, self.weight)           # (d, B, n_out)
         y = T.transpose(y, (1, 2, 0))           # (B, n_out, d)
-        return squash(y, axis=-1) if self.squash_output else y
+        return squash(y, axis=-1)

@@ -134,6 +134,8 @@ def load_checkpoint(path: str) -> CheckpointData:
         name_len = struct.unpack("<H", take(2))[0]
         name = bytes(take(name_len)).decode("utf-8")
         kind, code, ndim = struct.unpack("<BBB", take(3))
+        if kind > 2:
+            raise DataFormatError(f"{path}: entry {name!r} has unknown kind {kind}")
         if code not in _DTYPE_CODES:
             raise DataFormatError(f"{path}: unknown dtype code {code}")
         dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
@@ -156,14 +158,15 @@ def restore_model(model: Layer, ckpt: CheckpointData) -> None:
         missing = set(params) ^ set(ckpt.params)
         raise DataFormatError(f"parameter set mismatch: {sorted(missing)[:4]}...")
     buffers = dict(model.named_buffers())
+    if set(buffers) != set(ckpt.buffers):
+        missing = set(buffers) ^ set(ckpt.buffers)
+        raise DataFormatError(f"buffer set mismatch: {sorted(missing)[:4]}...")
     for name, p in params.items():
         arr = ckpt.params[name]
         if arr.shape != p.data.shape:
             raise DataFormatError(
                 f"{name}: checkpoint shape {arr.shape} != model {p.data.shape}")
     for name, arr in ckpt.buffers.items():
-        if name not in buffers:
-            raise DataFormatError(f"unknown buffer {name!r} in checkpoint")
         if arr.shape != buffers[name].shape:
             raise DataFormatError(
                 f"{name}: checkpoint shape {arr.shape} != model {buffers[name].shape}")

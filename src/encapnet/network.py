@@ -66,7 +66,6 @@ class ModuleSpec:
     interaction: str = "v3"
     skip: str = "both"
     ot: tuple = ()
-    aide_all_channels: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "ot", tuple(self.ot))
@@ -94,7 +93,6 @@ class NetworkConfig:
     hidden_caps: int = 4
     hidden_dim: int = 16
     routing_iters: int = 3
-    softmax_axis: str = "inputs"
     ot: OTConfig = field(default_factory=OTConfig)
 
     def __post_init__(self):
@@ -184,7 +182,7 @@ class EncapNet(Layer):
         for i, ms in enumerate(cfg.modules):
             self.modules.append(EncapModule(
                 c, ms.dim_in, ms.dim_out, ms.n_type2, ms.stride, ms.interaction,
-                ms.skip, ms.aide_all_channels, seed=seed, name=f"m{i + 1}"))
+                ms.skip, seed=seed, name=f"m{i + 1}"))
             units, kinds = [], []
             for kind in ms.ot:
                 if kind == "main":
@@ -237,13 +235,11 @@ class CapNet(Layer):
         dim_in = cfg.stem.channels[-1] // caps_in
         self.hidden_layer = CapNetLayer(
             caps_in, dim_in, (h, h), cfg.hidden_caps, cfg.hidden_dim, (h, h),
-            routing, cfg.routing_iters, cfg.softmax_axis,
-            rng=seeded_rng(seed, "caplayer", "hidden"))
+            routing, cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "hidden"))
         self.class_layer = CapNetLayer(
             cfg.hidden_caps, cfg.hidden_dim, (h, h), cfg.n_classes,
             cfg.class_caps_dim, (1, 1),
-            routing, cfg.routing_iters, cfg.softmax_axis,
-            rng=seeded_rng(seed, "caplayer", "class"))
+            routing, cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "class"))
 
     @property
     def depth(self) -> int:

@@ -13,16 +13,12 @@ from .tensor import Tensor
 
 
 class Adam:
+    """params is an iterable of (name, Tensor) pairs, e.g. model.named_params()."""
+
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        # accept {name: Tensor}, [(name, Tensor)], or [Tensor]
-        if isinstance(params, dict):
-            items = list(params.items())
-        else:
-            items = [p if isinstance(p, tuple) else (f"p{i}", p)
-                     for i, p in enumerate(params)]
-        self.params = items
+        self.params = items = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.weight_decay = float(weight_decay)

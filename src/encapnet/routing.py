@@ -49,25 +49,21 @@ class CapsuleMapping(Layer):
         return T.reshape(y, (b, self.caps_in * h * w, self.n_out, self.dim_out))
 
 
-def dynamic_routing(votes: Tensor, iters: int = 3, softmax_axis: str = "inputs"):
+def dynamic_routing(votes: Tensor, iters: int = 3):
     """Agreement routing. Returns (v, coefficients, logits).
 
     Logits start at zero; each iteration takes coefficients as a softmax over
-    the lower-capsule axis (the 'outputs' variant is kept only for ablation),
-    averages votes, squashes, and reinforces logits by the vote/output dot.
-    With iters=1 this reduces to uniform averaging plus squash.
+    the lower-capsule axis, averages votes, squashes, and reinforces logits by
+    the vote/output dot. With iters=1 this reduces to uniform averaging plus squash.
     """
     if iters < 1:
         raise ConfigError("routing needs at least one iteration")
-    if softmax_axis not in ("inputs", "outputs"):
-        raise ConfigError(f"unknown softmax_axis {softmax_axis!r}")
     b, n1, n2, d2 = votes.shape
-    axis = 1 if softmax_axis == "inputs" else 2
     logits = T.constant(np.zeros((b, n1, n2), dtype=votes.dtype))
     coeff = None
     v = None
     for _ in range(iters):
-        coeff = T.softmax(logits, axis=axis)
+        coeff = T.softmax(logits, axis=1)
         s = T.tsum(T.reshape(coeff, (b, n1, n2, 1)) * votes, axis=1)
         v = squash(s, axis=-1)
         agree = T.tsum(votes * T.reshape(v, (b, 1, n2, d2)), axis=-1)
@@ -135,14 +131,14 @@ class CapNetLayer(Layer):
 
     def __init__(self, caps_in: int, dim_in: int, in_hw, caps_out: int, dim_out: int,
                  out_hw, routing: str = "dynamic", iters: int = 3,
-                 softmax_axis: str = "inputs", rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if routing not in ("dynamic", "em"):
             raise ConfigError(f"unknown routing {routing!r}")
         self.caps_in, self.dim_in = caps_in, dim_in
         self.caps_out, self.dim_out = caps_out, dim_out
         self.in_hw, self.out_hw = tuple(in_hw), tuple(out_hw)
-        self.routing, self.iters, self.softmax_axis = routing, iters, softmax_axis
+        self.routing, self.iters = routing, iters
         self.n2 = caps_out * self.out_hw[0] * self.out_hw[1]
         self.mapping = CapsuleMapping(caps_in, dim_in, self.n2, dim_out, rng)
         self.keep_stats = False
@@ -153,7 +149,7 @@ class CapNetLayer(Layer):
         b = x.shape[0]
         votes = self.mapping(x)
         if self.routing == "dynamic":
-            v, _, _ = dynamic_routing(votes, self.iters, self.softmax_axis)
+            v, _, _ = dynamic_routing(votes, self.iters)
         else:
             a_in = capsule_norms(grid_to_capsules(x, self.caps_in, self.dim_in))
             v, _, _ = em_routing(votes, a_in, self.iters)

@@ -30,41 +30,29 @@ from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, Conv2d, Layer, gaussian_init
 from .tensor import Tensor, as_tensor, seeded_rng
 
-COST_KINDS = ("cosine", "l2")
-
 
 @dataclass
 class OTConfig:
     eps: float = 0.1
     iters: int = 10
-    cost: str = "cosine"
-    debiased: bool = True
     stop_gradient: bool = True
     regularizer: str = "ot"  # ot | kl
 
     def __post_init__(self):
-        if self.cost not in COST_KINDS:
-            raise ConfigError(f"unknown cost {self.cost!r}")
         if self.regularizer not in ("ot", "kl"):
             raise ConfigError(f"unknown regularizer {self.regularizer!r}")
         if self.eps <= 0 or self.iters < 1:
             raise ConfigError("eps must be positive and iters >= 1")
 
 
-def cost_matrix(x: Tensor, y: Tensor, kind: str = "cosine") -> Tensor:
-    """Pairwise ground cost between feature rows: (Bx,F),(By,F) -> (Bx,By)."""
+def cost_matrix(x: Tensor, y: Tensor) -> Tensor:
+    """Cosine ground cost 1 - cos(x_i, y_j): (Bx,F),(By,F) -> (Bx,By)."""
     x, y = as_tensor(x), as_tensor(y)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature sets disagree: {x.shape} vs {y.shape}")
-    if kind == "cosine":
-        xn = x / T.sqrt(T.tsum(x * x, axis=1, keepdims=True) + 1e-12)
-        yn = y / T.sqrt(T.tsum(y * y, axis=1, keepdims=True) + 1e-12)
-        return 1.0 - T.matmul(xn, T.transpose(yn))
-    if kind == "l2":
-        xx = T.tsum(x * x, axis=1, keepdims=True)
-        yy = T.reshape(T.tsum(y * y, axis=1), (1, y.shape[0]))
-        return xx + yy - 2.0 * T.matmul(x, T.transpose(y))
-    raise ConfigError(f"unknown cost {kind!r}")
+    xn = x / T.sqrt(T.tsum(x * x, axis=1, keepdims=True) + 1e-12)
+    yn = y / T.sqrt(T.tsum(y * y, axis=1, keepdims=True) + 1e-12)
+    return 1.0 - T.matmul(xn, T.transpose(yn))
 
 
 def sinkhorn_log_plan(Q, eps: float, iters: int) -> Tensor:
@@ -117,12 +105,10 @@ def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
     debiased form needs two sets of the same size.
     """
     x, y = as_tensor(x_feats), as_tensor(y_feats)
-    if not cfg.debiased:
-        return ot_loss(cost_matrix(x, y, cfg.cost), cfg.eps, cfg.iters, cfg.stop_gradient)
     if x.shape[:1] != y.shape[:1]:
         raise ShapeError(f"debiased divergence needs equal-size sets: {x.shape} vs {y.shape}")
     b = x.shape[0]
-    costs = [T.reshape(cost_matrix(a, c, cfg.cost), (1, b, b))
+    costs = [T.reshape(cost_matrix(a, c), (1, b, b))
              for a, c in ((x, y), (x, x), (y, y))]
     w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters, cfg.stop_gradient)
     return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))

@@ -287,9 +287,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # split by sign to keep exp() off large positives
-    out_data = np.where(a.data >= 0,
-                        1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                        np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(a.data))
+    out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
         a._accumulate(g * out_data * (1.0 - out_data))

@@ -47,6 +47,10 @@ class TrainConfig:
         object.__setattr__(self, "schedule", tuple(int(s) for s in self.schedule))
         if self.lr < 0 or self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("bad training hyperparameters")
+        if self.lam < 0:
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if self.eval_batch < 1:
+            raise ConfigError(f"eval_batch must be >= 1, got {self.eval_batch}")
         if list(self.schedule) != sorted(self.schedule):
             raise ConfigError("lr schedule must be non-decreasing")
 
@@ -70,11 +74,11 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class MetricsWriter:
-    """CSV rows: epoch, split, loss, margin, error, ot_m1.., lr, wallclock."""
+    """CSV rows: epoch, split, loss, margin, error, ot_m1..ot_m{n_modules}, lr, wallclock."""
 
-    def __init__(self, path: str, n_modules: int = 4):
+    def __init__(self, path: str, n_modules: int):
         self.path = path
-        self.n_ot = max(4, n_modules)
+        self.n_ot = n_modules
         self._f = open(path, "w", encoding="utf-8")
         cols = ["epoch", "split", "loss", "margin", "error"]
         cols += [f"ot_m{i + 1}" for i in range(self.n_ot)]

@@ -96,7 +96,7 @@ def test_sinkhorn_invariants():
         rng = seeded_rng(seed, "feat")
         x = Tensor(rng.normal(size=(B, 16)))
         y = Tensor(rng.normal(size=(B, 16)))
-        Q = cost_matrix(x, y, "cosine").data
+        Q = cost_matrix(x, y).data
         P = sinkhorn_plan(Q, eps=0.1, iters=10)
         assert np.abs(P.sum(axis=0) - 1.0 / B).max() < 1e-6
         assert np.abs(P.sum(axis=1) - 1.0 / B).max() < 1e-3

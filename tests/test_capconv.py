@@ -12,10 +12,9 @@ from encapnet.errors import ConfigError, ShapeError
 from encapnet.tensor import Tensor, seeded_rng
 
 
-def make_layer(interaction="v3", caps=3, dim_in=4, dim_out=4, stride=1,
-               aide_all=False, seed=0):
+def make_layer(interaction="v3", caps=3, dim_in=4, dim_out=4, stride=1, seed=0):
     spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1,
-                       interaction=interaction, aide_all_channels=aide_all)
+                       interaction=interaction)
     return CapConv(spec, seed=seed)
 
 
@@ -27,7 +26,6 @@ class TestSpecValidation:
     def test_masked_aide_needs_two_channels(self):
         with pytest.raises(ConfigError):
             CapConvSpec(1, 4, 4, interaction="v3")
-        CapConvSpec(1, 4, 4, interaction="v3", aide_all_channels=True)
         CapConvSpec(1, 4, 4, interaction="master_only")
 
     def test_positive_dims(self):
@@ -52,16 +50,6 @@ class TestAideMask:
             np.testing.assert_array_equal(own, 0.0)
             others = np.delete(delta, np.s_[cap * d2:(cap + 1) * d2], axis=1)
             assert np.abs(others).max() > 0
-
-    def test_all_channels_flag_disables_mask(self):
-        layer = make_layer(aide_all=True)
-        c, d1, d2 = layer.spec.caps, layer.spec.dim_in, layer.spec.dim_out
-        x = Tensor(seeded_rng(1, "x").normal(size=(1, c * d1, 4, 4)))
-        base = layer._aide_votes(x).data
-        bumped = x.data.copy()
-        bumped[:, 0:d1] += 0.37
-        delta = layer._aide_votes(Tensor(bumped)).data - base
-        assert np.abs(delta[:, 0:d2]).max() > 0
 
     def test_mask_survives_gradient_updates(self):
         # even if the optimizer writes into the dead block, the effective

@@ -105,14 +105,13 @@ class TestCapFC:
         fc = CapFC(4, 3, 6, rng=seeded_rng(0, "fc2"))
         assert fc.weight.data.shape == (6, 4, 3)
 
-    def test_unsquashed_option_is_linear(self):
-        fc = CapFC(4, 3, 2, rng=seeded_rng(0, "fc3"), squash_output=False)
-        x1 = seeded_rng(1, "a").normal(size=(2, 4, 2))
-        x2 = seeded_rng(1, "b").normal(size=(2, 4, 2))
-        y1 = fc(Tensor(x1)).data
-        y2 = fc(Tensor(x2)).data
-        y12 = fc(Tensor(x1 + x2)).data
-        np.testing.assert_allclose(y12, y1 + y2, atol=1e-12)
+    def test_output_is_squashed_per_dimension_map(self):
+        # dimension k of output capsule m mixes only dimension k of the inputs
+        fc = CapFC(4, 3, 2, rng=seeded_rng(0, "fc3"))
+        x = seeded_rng(1, "a").normal(size=(2, 4, 2))
+        s = np.einsum("bnd,dnm->bmd", x, fc.weight.data)
+        expect = squash(Tensor(s), axis=-1).data
+        np.testing.assert_allclose(fc(Tensor(x)).data, expect, atol=1e-12)
 
 
 class TestPredict:

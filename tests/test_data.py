@@ -226,6 +226,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="dtype"):
             parse_config_text(bad)
 
+    @pytest.mark.parametrize("section, line", [
+        ("ot", "cost = cosine"),
+        ("ot", "debiased = true"),
+        ("net", "softmax_axis = inputs"),
+        ("module1", "aide_all_channels = false"),
+    ])
+    def test_fixed_choice_key_rejected(self, section, line):
+        # the cosine cost, the debiased divergence, the softmax over lower
+        # capsules and the masked aide are fixed; naming their old key fails
+        bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
+        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+            parse_config_text(bad)
+
     def test_module_gap_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(CONFIG_TEXT.replace("[module1]", "[module2]"))

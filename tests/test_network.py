@@ -1,6 +1,7 @@
 """Network assembly, checkpoints, and the optimizer."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -241,6 +242,24 @@ class TestCheckpoint:
         for n, p in net.named_params():
             np.testing.assert_array_equal(p.data, before[n])
 
+    def test_restore_rejects_missing_buffer_without_mutation(self, tmp_path):
+        net = build_network(small_cfg(), seed=3)
+        path = str(tmp_path / "model.encp")
+        save_checkpoint(path, net)
+        ck = load_checkpoint(path)
+        for arr in [*ck.params.values(), *ck.buffers.values()]:
+            arr += 1.0
+        name = "stem.bns0.running_mean"
+        del ck.buffers[name]
+        before = {n: p.data.copy() for n, p in net.named_params()}
+        before_bufs = {n: b.copy() for n, b in net.named_buffers()}
+        with pytest.raises(DataFormatError, match=name):
+            restore_model(net, ck)
+        for n, p in net.named_params():
+            np.testing.assert_array_equal(p.data, before[n])
+        for n, b in net.named_buffers():
+            np.testing.assert_array_equal(b, before_bufs[n])
+
     def test_corruption_detected(self, tmp_path):
         net = build_network(small_cfg(), seed=3)
         path = str(tmp_path / "model.encp")
@@ -260,6 +279,16 @@ class TestCheckpoint:
         trailing.write_bytes(bytes(blob) + b"\x00")
         with pytest.raises(DataFormatError):
             load_checkpoint(str(trailing))
+        # the first manifest entry's kind byte follows the two empty text
+        # blocks, the entry count and the entry's length-prefixed name
+        name_len = struct.unpack_from("<H", blob, 20)[0]
+        bad_kind = bytearray(blob)
+        bad_kind[22 + name_len] = 7
+        kind_path = tmp_path / "bad_kind.encp"
+        kind_path.write_bytes(bytes(bad_kind))
+        name = bytes(blob[22:22 + name_len]).decode()
+        with pytest.raises(DataFormatError, match=f"{name}.*kind 7"):
+            load_checkpoint(str(kind_path))
 
 
 class TestAdam:
@@ -267,7 +296,7 @@ class TestAdam:
         # with O(1) gradients the bias-corrected first step is lr * sign(g)
         p = Tensor(np.zeros(4), requires_grad=True, op="param:p")
         p.grad = np.array([1.0, -2.0, 3.0, -0.5])
-        opt = Adam({"p": p}, lr=0.01)
+        opt = Adam([("p", p)], lr=0.01)
         opt.step()
         np.testing.assert_allclose(p.data, -0.01 * np.sign([1.0, -2.0, 3.0, -0.5]),
                                    rtol=1e-6)
@@ -276,21 +305,21 @@ class TestAdam:
         # zero gradient: only the multiplicative shrink applies
         p = Tensor(np.full(3, 2.0), requires_grad=True, op="param:p")
         p.grad = np.zeros(3)
-        opt = Adam({"p": p}, lr=0.1, weight_decay=0.5)
+        opt = Adam([("p", p)], lr=0.1, weight_decay=0.5)
         opt.step()
         np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.5), atol=1e-12)
 
     def test_none_gradient_treated_as_zero(self):
         p = Tensor(np.ones(2), requires_grad=True, op="param:p")
         p.grad = None
-        opt = Adam({"p": p}, lr=0.1)
+        opt = Adam([("p", p)], lr=0.1)
         opt.step()
         np.testing.assert_array_equal(p.data, np.ones(2))
 
     def test_quadratic_converges(self):
         target = np.array([1.5, -2.0, 0.5])
         p = Tensor(np.zeros(3), requires_grad=True, op="param:p")
-        opt = Adam({"p": p}, lr=0.05)
+        opt = Adam([("p", p)], lr=0.05)
         for _ in range(500):
             opt.zero_grad()
             d = p - T.constant(target)
@@ -302,18 +331,18 @@ class TestAdam:
     def test_zero_grad_clears(self):
         p = Tensor(np.ones(2), requires_grad=True, op="param:p")
         p.grad = np.ones(2)
-        Adam({"p": p}).zero_grad()
+        Adam([("p", p)]).zero_grad()
         assert p.grad is None
 
     def test_state_roundtrip(self):
         p = Tensor(np.zeros(3), requires_grad=True, op="param:p")
-        opt = Adam({"p": p}, lr=0.05)
+        opt = Adam([("p", p)], lr=0.05)
         for i in range(3):
             p.grad = np.full(3, float(i + 1))
             opt.step()
         state = opt.state_arrays()
         p2 = Tensor(p.data.copy(), requires_grad=True, op="param:p")
-        opt2 = Adam({"p": p2}, lr=0.05)
+        opt2 = Adam([("p", p2)], lr=0.05)
         opt2.load_state_arrays(state)
         p.grad = p2.grad = np.full(3, 0.7)
         opt.step()

@@ -32,9 +32,8 @@ class TestDynamicRouting:
             logits = logits + T.tsum(votes * T.reshape(v, (b, 1, n2, d2)), axis=-1)
 
     def test_returned_coefficients_sum_to_one(self):
-        for axis, sum_axis in (("inputs", 1), ("outputs", 2)):
-            _, coeff, _ = dynamic_routing(random_votes(), iters=3, softmax_axis=axis)
-            np.testing.assert_allclose(coeff.data.sum(axis=sum_axis), 1.0, atol=1e-12)
+        _, coeff, _ = dynamic_routing(random_votes(), iters=3)
+        np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_one_iteration_is_uniform_average(self):
         votes = random_votes(seed=3)
@@ -59,8 +58,6 @@ class TestDynamicRouting:
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigError):
             dynamic_routing(random_votes(), iters=0)
-        with pytest.raises(ConfigError):
-            dynamic_routing(random_votes(), softmax_axis="sideways")
 
 
 class TestEMRouting:

@@ -33,7 +33,7 @@ class TestIterates:
             rng = seeded_rng(seed, "feat")
             x = Tensor(rng.normal(size=(B, 16)))
             y = Tensor(rng.normal(size=(B, 16)))
-            Q = cost_matrix(x, y, "cosine").data
+            Q = cost_matrix(x, y).data
             P = sinkhorn_plan(Q, eps=0.1, iters=10)
             assert np.abs(P.sum(axis=1) - 1.0 / B).max() < 1e-3
 
@@ -142,16 +142,9 @@ class TestOTLoss:
 class TestCostMatrix:
     def test_cosine_range_and_self_diag(self):
         x = Tensor(seeded_rng(0, "x").normal(size=(6, 8)))
-        Q = cost_matrix(x, x, "cosine").data
+        Q = cost_matrix(x, x).data
         assert Q.min() > -1e-9 and Q.max() < 2.0 + 1e-9
         np.testing.assert_allclose(np.diag(Q), 0.0, atol=1e-9)
-
-    def test_l2_matches_direct(self):
-        rng = seeded_rng(1, "x")
-        x, y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        Q = cost_matrix(Tensor(x), Tensor(y), "l2").data
-        direct = ((x[:, None] - y[None]) ** 2).sum(-1)
-        np.testing.assert_allclose(Q, direct, atol=1e-10)
 
     def test_rejects_mismatched_features(self):
         with pytest.raises(ShapeError):
@@ -188,11 +181,6 @@ class TestDivergence:
         errs = check_grads(lambda: sinkhorn_divergence(x, y, cfg), [x, y])
         assert max(errs) < 1e-6
 
-    def test_biased_variant_nonzero_on_self(self):
-        cfg = OTConfig(eps=0.5, iters=10, debiased=False)
-        x = Tensor(seeded_rng(1, "d").normal(size=(5, 7)))
-        assert float(sinkhorn_divergence(x, x, cfg).data) > 0
-
 
 class TestKL:
     def test_zero_on_identical(self):
@@ -213,8 +201,6 @@ class TestKL:
 
 class TestOTConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            OTConfig(cost="manhattan")
         with pytest.raises(ConfigError):
             OTConfig(regularizer="mmd")
         with pytest.raises(ConfigError):

@@ -51,6 +51,14 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(schedule=(10, 5))
 
+    def test_negative_lam_rejected(self):
+        with pytest.raises(ConfigError, match="lam"):
+            TrainConfig(lam=-1.0)
+
+    def test_zero_eval_batch_rejected(self):
+        with pytest.raises(ConfigError, match="eval_batch"):
+            TrainConfig(eval_batch=0)
+
 
 class TestMetrics:
     def test_blank_columns_survive_roundtrip(self, tmp_path):
@@ -61,7 +69,8 @@ class TestMetrics:
         w.close()
         rows = read_metrics(path)
         assert rows[0]["ot_m1"] == 0.125 and rows[0]["ot_m2"] is None
-        assert rows[0]["ot_m3"] is None  # padded to the 4-column floor
+        header = open(path).readline().strip().split(",")
+        assert [c for c in header if c.startswith("ot_m")] == ["ot_m1", "ot_m2"]
         assert rows[1]["split"] == "eval" and rows[1]["error"] == 0.25
 
     def test_floats_written_with_repr(self, tmp_path):
