@@ -13,16 +13,12 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .layers import Layer, gaussian_init
-from .tensor import Tensor
-
-SQUASH_EPS = 1e-8
+from .tensor import SQUASH_EPS, Tensor
 
 
 def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, eps-guarded at the origin."""
-    nsq = T.tsum(s * s, axis=axis, keepdims=True)
-    norm = T.sqrt(nsq + SQUASH_EPS)
-    return s * (nsq / (1.0 + nsq) / norm)
+    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, as one node (tensor.squash)."""
+    return T.squash(s, axis)
 
 
 def grid_squash(x: Tensor, caps: int, dim: int) -> Tensor:

@@ -3,8 +3,8 @@
 Both consume a vote tensor (B, n1, n2, d2): every lower capsule i proposes a
 d2-vector for every higher capsule j. Votes come from CapsuleMapping, a 1x1
 grouped conv, so capsules at different spatial locations of one channel share
-their transform while different channels own distinct ones. Routing is fully
-unrolled on the tape; gradients flow through every iteration.
+their transform while different channels own distinct ones. Dynamic routing
+is one tape node whose backward sweeps every iteration; EM routing is unrolled.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .capsules import capsule_norms, grid_to_capsules, squash
+from .capsules import capsule_norms, grid_to_capsules
 from .errors import ConfigError, ShapeError
 from .layers import Layer, gaussian_init
 from .tensor import Tensor
@@ -50,25 +50,9 @@ class CapsuleMapping(Layer):
 
 
 def dynamic_routing(votes: Tensor, iters: int = 3):
-    """Agreement routing. Returns (v, coefficients, logits).
-
-    Logits start at zero; each iteration takes coefficients as a softmax over
-    the lower-capsule axis, averages votes, squashes, and reinforces logits by
-    the vote/output dot. With iters=1 this reduces to uniform averaging plus squash.
-    """
-    if iters < 1:
-        raise ConfigError("routing needs at least one iteration")
-    b, n1, n2, d2 = votes.shape
-    logits = T.constant(np.zeros((b, n1, n2), dtype=votes.dtype))
-    coeff = None
-    v = None
-    for _ in range(iters):
-        coeff = T.softmax(logits, axis=1)
-        s = T.tsum(T.reshape(coeff, (b, n1, n2, 1)) * votes, axis=1)
-        v = squash(s, axis=-1)
-        agree = T.tsum(votes * T.reshape(v, (b, 1, n2, d2)), axis=-1)
-        logits = logits + agree
-    return v, coeff, logits
+    """Agreement routing, one node (tensor.route_by_agreement): (v, constant coefficients)."""
+    coeff = np.empty(votes.shape[:3])
+    return T.route_by_agreement(votes, iters, coeff), T.constant(coeff)
 
 
 EM_VAR_FLOOR = 1e-6
@@ -119,12 +103,18 @@ def em_routing(votes: Tensor, activations: Tensor, iters: int = 3,
     return mu, a_out, coeff
 
 
+# Bytes of votes one routing call takes; larger batches are routed in blocks of
+# images, whose votes reuse heap memory (glibc maps 32 MiB and up afresh).
+VOTE_BLOCK_BYTES = 1 << 23
+
+
 class CapNetLayer(Layer):
     """Map + route + reshape back to a spatial blob.
 
     Higher capsules are laid out as caps_out channels on an out_hw grid, so
     n2 = caps_out * out_h * out_w. With out_hw (1,1) and caps_out = n_classes
-    this is the terminal class-capsule layer.
+    this is the terminal class-capsule layer. Images are mapped and routed in
+    blocks whose votes fit in VOTE_BLOCK_BYTES.
     """
 
     _children = ("mapping",)
@@ -146,15 +136,21 @@ class CapNetLayer(Layer):
         self.last_output: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = x.shape[0]
-        votes = self.mapping(x)
-        if self.routing == "dynamic":
-            v, _, _ = dynamic_routing(votes, self.iters)
-        else:
-            a_in = capsule_norms(grid_to_capsules(x, self.caps_in, self.dim_in))
-            v, _, _ = em_routing(votes, a_in, self.iters)
+        b, _, h, w = x.shape
+        step = max(1, VOTE_BLOCK_BYTES // (8 * self.caps_in * h * w * self.n2 * self.dim_out))
+        vs, kept = [], []
+        for lo in range(0, b, step):
+            xb = x if step >= b else T.slice_axis(x, 0, lo, lo + step)
+            votes = self.mapping(xb)
+            if self.routing == "dynamic":
+                vs.append(dynamic_routing(votes, self.iters)[0])
+            else:
+                a_in = capsule_norms(grid_to_capsules(xb, self.caps_in, self.dim_in))
+                vs.append(em_routing(votes, a_in, self.iters)[0])
+            kept += [votes.data] if self.keep_stats else []
+        v = vs[0] if len(vs) == 1 else T.concat(vs, axis=0)
         if self.keep_stats:
-            self.last_votes = votes.data.copy()
+            self.last_votes = np.concatenate(kept)
             self.last_output = v.data.copy()
         h2, w2 = self.out_hw
         out = T.reshape(v, (b, self.caps_out, h2, w2, self.dim_out))

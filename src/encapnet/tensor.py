@@ -16,17 +16,42 @@ Every Tensor holds float64: the constructor converts lists, scalars and
 float32 or integer arrays, and stores float64 arrays without a copy. The
 finite-difference gradient checks and the bitwise stop-gradient tests rely
 on that precision.
+
+On glibc, importing this module fixes malloc's mmap and trim thresholds
+(_hold_heap), so that memory a step frees is reused by the next one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import zlib
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 _grad_enabled = True
+SQUASH_EPS = 1e-8
+
+
+def _hold_heap() -> None:
+    """Fix glibc's malloc thresholds: blocks under 32 MiB come from the heap,
+    and the heap is not trimmed. By default both follow the largest block
+    freed so far, so a process reused the tape a training step frees, or
+    faulted megabytes of it back in every step, by the luck of its first frees.
+    """
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its default ceiling
+            mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, ValueError):  # not glibc
+        pass
+
+
+_hold_heap()
 
 
 def seeded_rng(seed: int, *tags) -> np.random.Generator:
@@ -514,6 +539,74 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running_mean=None,
                                    - xhat * (gxsum / n).reshape(shape)))
 
     return _make(out, (x, gamma, beta), back, "batch_norm")
+
+
+# -- capsule kernels ------------------------------------------------------------
+
+def _squash_scale(s: np.ndarray, axis: int):
+    """(n, k): n = |s|^2 along axis (kept), k = n / (1+n) / sqrt(n+eps)."""
+    n = (s * s).sum(axis=axis, keepdims=True)
+    return n, n / (1.0 + n) / np.sqrt(n + SQUASH_EPS)
+
+
+def _squash_grad(s, n, k, g, axis: int) -> np.ndarray:
+    """Gradient of s * k(|s|^2) along axis: k g + 2 k'(n) (s.g) s."""
+    dk = ((1.0 / (1.0 + n) - n / (2.0 * (n + SQUASH_EPS)))
+          / ((1.0 + n) * np.sqrt(n + SQUASH_EPS)))
+    return k * g + 2.0 * dk * (s * g).sum(axis=axis, keepdims=True) * s
+
+
+def squash(s, axis: int = -1) -> Tensor:
+    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, eps-guarded at the origin."""
+    s = as_tensor(s)
+    n, k = _squash_scale(s.data, axis)
+
+    def back(g):
+        s._accumulate(_squash_grad(s.data, n, k, g, axis))
+
+    return _make(s.data * k, (s,), back, "squash")
+
+
+def route_by_agreement(votes, iters: int, coeff: np.ndarray) -> Tensor:
+    """Dynamic routing of votes (B, n1, n2, d2) to v (B, n2, d2) as one node.
+
+    Per iteration c = softmax over n1 of the logits, v = squash(sum_i c_i u_i)
+    and, but on the last, logits += u_i . v; the last c is written to coeff.
+    Both sums are batched matmuls on one (B*n2, n1, d2) copy u of the votes.
+    The backward sweeps the iterations in reverse; the votes gradient
+    sum_r c_r (x) gs_r + sum_r gl_{r+1} (x) v_r is one matmul L^T R.
+    """
+    votes = as_tensor(votes)
+    if iters < 1:
+        raise ConfigError("routing needs at least one iteration")
+    b, n1, n2, d2 = votes.data.shape
+    u = np.ascontiguousarray(votes.data.transpose(0, 2, 1, 3)).reshape(b * n2, n1, d2)
+    logits, saved = np.zeros((b * n2, 1, n1)), []
+    for r in range(iters):
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        c = e / e.sum(axis=2, keepdims=True)
+        s = np.matmul(c, u)
+        n, k = _squash_scale(s, 2)
+        saved.append((c, s, n, k, s * k))
+        if r < iters - 1:
+            logits = logits + np.matmul(s * k, u.swapaxes(1, 2))
+    coeff[...] = c.reshape(b, n2, n1).transpose(0, 2, 1)
+
+    def back(g):
+        gv, gl, factors = g.reshape(b * n2, 1, d2), 0.0, []
+        for c, s, n, k, v in reversed(saved):
+            if factors:  # a later iteration read v through the logits
+                gv = np.matmul(gl, u)
+                factors.append((gl, v))
+            gs = _squash_grad(s, n, k, gv, 2)
+            gc = np.matmul(gs, u.swapaxes(1, 2))
+            gl = gl + c * (gc - (gc * c).sum(axis=2, keepdims=True))
+            factors.append((c, gs))
+        left, right = zip(*factors)
+        gu = np.matmul(np.concatenate(left, 1).swapaxes(1, 2), np.concatenate(right, 1))
+        votes._accumulate(gu.reshape(b, n2, n1, d2).transpose(0, 2, 1, 3))
+
+    return _make(saved[-1][4].reshape(b, n2, d2), (votes,), back, "route_by_agreement")
 
 
 # -- convolution ----------------------------------------------------------------

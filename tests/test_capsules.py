@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from encapnet import tensor as T
-from encapnet.capsules import (CapFC, capsule_norms, grid_squash,
+from encapnet.capsules import (SQUASH_EPS, CapFC, capsule_norms, grid_squash,
                                grid_to_capsules, margin_loss, predict, squash)
 from encapnet.errors import ShapeError
+from encapnet.gradcheck import check_grads
 from encapnet.tensor import Tensor, seeded_rng
 
 
@@ -38,6 +39,49 @@ class TestSquash:
         cos = (s * v).sum(-1) / (np.linalg.norm(s, axis=-1)
                                  * np.linalg.norm(v, axis=-1))
         np.testing.assert_allclose(cos, 1.0, atol=1e-9)
+
+
+def squash_ops(s, axis=-1):
+    """The three-op squash expression the one-node kernel replaced."""
+    nsq = T.tsum(s * s, axis=axis, keepdims=True)
+    norm = T.sqrt(nsq + SQUASH_EPS)
+    return s * (nsq / (1.0 + nsq) / norm)
+
+
+class TestSquashNode:
+    @pytest.mark.parametrize("shape,axis", [((3, 5, 4), -1), ((2, 3, 4, 2, 2), 2)])
+    def test_forward_byte_equal_to_three_ops(self, shape, axis):
+        s = Tensor(seeded_rng(0, "sq", len(shape)).normal(size=shape))
+        out = T.squash(s, axis)
+        assert out.op == "squash"
+        np.testing.assert_array_equal(out.data, squash_ops(s, axis).data)
+
+    @pytest.mark.parametrize("shape,axis", [((3, 5, 4), -1), ((2, 3, 4, 2, 2), 2)])
+    def test_check_grads(self, shape, axis):
+        # axis 2 of a 5-D blob is how grid_squash calls it
+        s = Tensor(seeded_rng(1, "sq", len(shape)).normal(size=shape))
+        w = T.constant(seeded_rng(2, "sq", len(shape)).normal(size=shape))
+        errs = check_grads(lambda: T.tsum(T.squash(s, axis) * w), [s])
+        assert errs[0] < 1e-8
+
+    def test_gradient_at_zero_vector_is_exactly_zero(self):
+        s = Tensor(np.zeros((3, 4)), requires_grad=True)
+        T.tsum(T.squash(s, -1) * T.constant(np.ones((3, 4)))).backward()
+        assert np.all(np.isfinite(s.grad))
+        np.testing.assert_array_equal(s.grad, 0.0)
+
+    @pytest.mark.parametrize("norm", [1e-9, 1e6])
+    def test_gradient_matches_three_ops_at_extreme_norms(self, norm):
+        rng = seeded_rng(3, "sq", norm)
+        d = rng.normal(size=(6, 5))
+        data = d / np.linalg.norm(d, axis=-1, keepdims=True) * norm
+        w = T.constant(rng.normal(size=(6, 5)))
+        grads = []
+        for fn in (T.squash, squash_ops):
+            s = Tensor(data.copy(), requires_grad=True)
+            T.tsum(fn(s, -1) * w).backward()
+            grads.append(s.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-10)
 
 
 class TestGridLayout:

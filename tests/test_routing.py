@@ -5,9 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from encapnet import routing as routing_mod
 from encapnet import tensor as T
-from encapnet.capsules import squash
+from encapnet.capsules import SQUASH_EPS, squash
 from encapnet.errors import ConfigError, ShapeError
+from encapnet.gradcheck import check_grads
 from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
                               dynamic_routing, em_routing, routing_histogram,
                               write_histogram_csv)
@@ -18,32 +20,85 @@ def random_votes(b=2, n1=6, n2=4, d2=5, seed=0):
     return Tensor(seeded_rng(seed, "votes").normal(size=(b, n1, n2, d2)))
 
 
+def squash_ops(s, axis=-1):
+    """The squash expression op by op, independent of the one-node kernel."""
+    nsq = T.tsum(s * s, axis=axis, keepdims=True)
+    return s * (nsq / (1.0 + nsq) / T.sqrt(nsq + SQUASH_EPS))
+
+
+def reference_routing(votes, iters):
+    """Dynamic routing unrolled on the tape op by op: (v, every iterate's coeff)."""
+    b, n1, n2, d2 = votes.shape
+    logits = T.constant(np.zeros((b, n1, n2)))
+    coeffs = []
+    for _ in range(iters):
+        coeff = T.softmax(logits, axis=1)
+        coeffs.append(coeff.data)
+        s = T.tsum(T.reshape(coeff, (b, n1, n2, 1)) * votes, axis=1)
+        v = squash_ops(s, axis=-1)
+        logits = logits + T.tsum(votes * T.reshape(v, (b, 1, n2, d2)), axis=-1)
+    return v, coeffs
+
+
 class TestDynamicRouting:
     def test_coefficients_on_simplex_every_iteration(self):
-        # run the loop manually so every iterate is visible, not just the last
         votes = random_votes()
-        b, n1, n2, d2 = votes.shape
-        logits = T.constant(np.zeros((b, n1, n2)))
-        for _ in range(5):
-            coeff = T.softmax(logits, axis=1)
+        _, coeffs = reference_routing(votes, 5)
+        for iters, ref in enumerate(coeffs, start=1):
+            np.testing.assert_allclose(ref.sum(axis=1), 1.0, atol=1e-12)
+            _, coeff = dynamic_routing(votes, iters=iters)
             np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
-            s = T.tsum(T.reshape(coeff, (b, n1, n2, 1)) * votes, axis=1)
-            v = squash(s, axis=-1)
-            logits = logits + T.tsum(votes * T.reshape(v, (b, 1, n2, d2)), axis=-1)
+            np.testing.assert_allclose(coeff.data, ref, rtol=1e-12)
 
     def test_returned_coefficients_sum_to_one(self):
-        _, coeff, _ = dynamic_routing(random_votes(), iters=3)
+        _, coeff = dynamic_routing(random_votes(), iters=3)
         np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_one_iteration_is_uniform_average(self):
         votes = random_votes(seed=3)
         b, n1, n2, d2 = votes.shape
-        v, coeff, _ = dynamic_routing(votes, iters=1)
+        v, coeff = dynamic_routing(votes, iters=1)
+        # a softmax of zero logits is exactly 1/n1
         np.testing.assert_array_equal(coeff.data, np.full((b, n1, n2), 1.0 / n1))
-        # same computation path, so the match is bitwise not approximate
-        u = T.constant(np.full((b, n1, n2, 1), 1.0 / n1))
-        expect = squash(T.tsum(u * votes, axis=1), axis=-1).data
-        np.testing.assert_array_equal(v.data, expect)
+        # the sum over n1 is a matmul here, so only the summation order differs
+        expect = squash(Tensor(votes.data.mean(axis=1)), axis=-1).data
+        np.testing.assert_allclose(v.data, expect, rtol=1e-13)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4])
+    def test_node_matches_tape_reference(self, iters):
+        # n1, n2 and d2 all differ, so a transposed axis cannot go unnoticed
+        data = random_votes(b=2, n1=7, n2=3, d2=5, seed=iters).data
+        w = seeded_rng(iters, "w").normal(size=(2, 3, 5))
+        out = []
+        for route in (lambda u: dynamic_routing(u, iters)[0],
+                      lambda u: reference_routing(u, iters)[0]):
+            votes = Tensor(data.copy(), requires_grad=True)
+            v = route(votes)
+            T.tsum(v * T.constant(w)).backward()
+            out.append((v.data, votes.grad))
+        (v, g), (v_ref, g_ref) = out
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("iters", [1, 2, 3])
+    def test_check_grads_on_votes(self, iters):
+        votes = random_votes(b=2, n1=5, n2=3, d2=4, seed=10 + iters)
+        w = T.constant(seeded_rng(iters, "w").normal(size=(2, 3, 4)))
+        errs = check_grads(lambda: T.tsum(dynamic_routing(votes, iters)[0] * w), [votes])
+        assert errs[0] < 1e-7
+
+    def test_one_node_without_tape_under_no_grad(self):
+        votes = random_votes()
+        votes.requires_grad = True
+        v, _ = dynamic_routing(votes, iters=3)
+        assert v._parents == (votes,) and v._backward is not None
+        with T.no_grad():
+            v, _ = dynamic_routing(votes, iters=3)
+        assert v._parents == () and v._backward is None
+
+    def test_votes_without_grad_give_no_backward_rule(self):
+        v, _ = dynamic_routing(random_votes(), iters=3)
+        assert not v.requires_grad and v._backward is None
 
     def test_agreement_concentrates_coefficients(self):
         # n1 votes where all but one agree: the outlier loses routing weight
@@ -51,7 +106,7 @@ class TestDynamicRouting:
         base = rng.normal(size=4)
         votes = np.tile(base, (1, 5, 1, 1))
         votes[0, 4, 0] = -base * 3
-        _, coeff, _ = dynamic_routing(Tensor(votes), iters=3)
+        _, coeff = dynamic_routing(Tensor(votes), iters=3)
         c = coeff.data[0, :, 0]
         assert c[4] < c[0]
 
@@ -147,6 +202,26 @@ class TestCapNetLayer:
     def test_rejects_unknown_routing(self):
         with pytest.raises(ConfigError):
             CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), routing="magic")
+
+    @pytest.mark.parametrize("routing", ["dynamic", "em"])
+    def test_image_blocks_match_one_call(self, monkeypatch, routing):
+        # one image's votes are 2*(2*2)*3*4 doubles = 768 bytes, so a
+        # 1600-byte block routes the 5 images as 2 + 2 + 1
+        x = seeded_rng(1, "x").normal(size=(5, 8, 2, 2))
+        runs = []
+        for block_bytes in (routing_mod.VOTE_BLOCK_BYTES, 1600):
+            monkeypatch.setattr(routing_mod, "VOTE_BLOCK_BYTES", block_bytes)
+            layer = CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), routing=routing,
+                                rng=seeded_rng(0, "blk"))
+            layer.keep_stats = True
+            xt = Tensor(x, requires_grad=True)
+            out = layer(xt)
+            T.tsum(out * out).backward()
+            runs.append((out.data, layer.last_votes, layer.last_output, xt.grad,
+                         layer.mapping.weight.grad))
+        assert runs[1][1].shape == (5, 8, 3, 4)
+        for whole, blocked in zip(*runs):
+            np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-15)
 
 
 class TestHistogram:

@@ -2,6 +2,8 @@
 backward pass."""
 
 import contextlib
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -426,3 +428,20 @@ class TestSeededRng:
         b = seeded_rng(7, "x", 4).normal(size=4)
         c = seeded_rng(8, "x", 3).normal(size=4)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_freed_step_memory_is_reused_without_page_faults():
+    # a step that allocates 36 MiB in 3 MiB blocks and frees them all: with
+    # glibc's default thresholds the heap top is trimmed after every step and
+    # the next step faults it back in (~9000 pages); held, it is reused
+    def step():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        blocks = [np.empty(3 << 17) for _ in range(12)]
+        for b in blocks:
+            b.fill(1.0)
+        del blocks
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults = [step() for _ in range(3)]
+    assert faults[-1] <= 8, faults
