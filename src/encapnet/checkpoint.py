@@ -7,7 +7,7 @@ Layout (all integers little-endian):
   u32 meta length + UTF-8 'key=value' lines (epoch, eval error, ...),
   u32 entry count, then per entry:
     u16 name length + name, u8 kind (0 param / 1 buffer / 2 extra),
-    u8 dtype code (0 f32 / 1 f64 / 2 i64), u8 ndim, u32 dims...
+    u8 dtype code (1 f64 / 2 i64), u8 ndim, u32 dims...
   then every array's raw little-endian bytes in manifest order.
 
 The embedded config makes a checkpoint sufficient to rebuild and evaluate
@@ -30,13 +30,11 @@ from .layers import Layer
 MAGIC = b"ENCP"
 VERSION = 1
 
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<i8")}
+_DTYPE_CODES = {1: np.dtype("<f8"), 2: np.dtype("<i8")}
 
 
 def _code_for(arr: np.ndarray) -> int:
     kind = np.dtype(arr.dtype)
-    if kind == np.float32:
-        return 0
     if kind == np.float64:
         return 1
     if kind == np.int64:

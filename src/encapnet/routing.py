@@ -1,10 +1,11 @@
 """Iterative routing baselines: dynamic (agreement) and EM (Gaussian cluster).
 
 Both consume a vote tensor (B, n1, n2, d2): every lower capsule i proposes a
-d2-vector for every higher capsule j. Votes come from CapsuleMapping, a 1x1
-grouped conv, so capsules at different spatial locations of one channel share
-their transform while different channels own distinct ones. Dynamic routing
-is one tape node whose backward sweeps every iteration; EM routing is unrolled.
+d2-vector for every higher capsule j. Votes come from CapsuleMapping, one
+matmul batched over capsule channels, so capsules at different spatial
+locations of one channel share their transform while different channels own
+distinct ones. Dynamic routing is one tape node whose backward sweeps every
+iteration; EM routing is unrolled.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from .tensor import Tensor
 
 
 class CapsuleMapping(Layer):
-    """Votes for all (lower, higher) capsule pairs via one 1x1 grouped conv.
+    """Votes for all (lower, higher) capsule pairs via one batched matmul.
 
     Input (B, caps_in*dim_in, H, W) -> votes (B, n1, n2, dim_out) with
-    n1 = caps_in*H*W. The conv's output extent is caps_in*n_out*dim_out
-    channels, which is exactly why iterative capsule layers get huge.
+    n1 = caps_in*H*W: the poses (B, caps_in, H*W, dim_in) times the weight
+    viewed as (caps_in, dim_in, n_out*dim_out), whose product reshapes to the
+    votes without a copy. The weight keeps the layout of a grouped 1x1 conv,
+    (caps_in*n_out*dim_out, dim_in, 1, 1): that extent is exactly why
+    iterative capsule layers get huge.
     """
 
     def __init__(self, caps_in: int, dim_in: int, n_out: int, dim_out: int,
@@ -41,12 +45,13 @@ class CapsuleMapping(Layer):
 
     def __call__(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
-        if c != self.caps_in * self.dim_in:
-            raise ShapeError(f"expected {self.caps_in * self.dim_in} channels, got {c}")
-        y = T.conv2d(x, self.weight, stride=1, padding=0, groups=self.caps_in)
-        y = T.reshape(y, (b, self.caps_in, self.n_out, self.dim_out, h, w))
-        y = T.transpose(y, (0, 1, 4, 5, 2, 3))
-        return T.reshape(y, (b, self.caps_in * h * w, self.n_out, self.dim_out))
+        g, d = self.caps_in, self.dim_in
+        if c != g * d:
+            raise ShapeError(f"expected {g * d} channels, got {c}")
+        poses = T.transpose(T.reshape(x, (b, g, d, h * w)), (0, 1, 3, 2))
+        wmat = T.transpose(T.reshape(self.weight, (g, -1, d)), (0, 2, 1))
+        votes = T.matmul(poses, wmat)  # (B, caps_in, H*W, n_out*dim_out)
+        return T.reshape(votes, (b, g * h * w, self.n_out, self.dim_out))
 
 
 def dynamic_routing(votes: Tensor, iters: int = 3):

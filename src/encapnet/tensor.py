@@ -120,20 +120,25 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add g (same shape, or broadcastable to it) into .grad.
 
-        The first touch stores a copy: one g may be handed to two parents
-        (add), so storing it as-is would alias their grads. The copy takes
-        the memory layout of .data, not of g, which may be a transposed view.
+        An owned g has .data's shape and no other live holder: a kernel's
+        freshly built gradient, or a reshape's view of its own gradient, dead
+        once that backward has run. Its first touch stores it as is. Any other
+        g is copied on first touch: one g may be handed to two parents (add),
+        so storing it as-is would alias their grads. The copy takes the memory
+        layout of .data, not of g, which may be a transposed view.
         """
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif owned:
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
-        else:
-            self.grad += g
 
     # -- graph walk ---------------------------------------------------------
 
@@ -399,7 +404,7 @@ def reshape(a, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def back(g):
-        a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.reshape(a.data.shape), owned=True)
 
     return _make(out_data, (a,), back, "reshape")
 
@@ -572,39 +577,43 @@ def route_by_agreement(votes, iters: int, coeff: np.ndarray) -> Tensor:
 
     Per iteration c = softmax over n1 of the logits, v = squash(sum_i c_i u_i)
     and, but on the last, logits += u_i . v; the last c is written to coeff.
-    Both sums are batched matmuls on one (B*n2, n1, d2) copy u of the votes.
-    The backward sweeps the iterations in reverse; the votes gradient
-    sum_r c_r (x) gs_r + sum_r gl_{r+1} (x) v_r is one matmul L^T R.
+    Both sums are matmuls batched over (b, j) on the strided view
+    u = votes.transpose(0, 2, 1, 3), so the votes are never copied. The
+    backward sweeps the iterations in reverse; the votes gradient
+    sum_r c_r (x) gs_r + sum_r gl_{r+1} (x) v_r is one matmul L^T R, written
+    once in the votes' own layout and handed over as owned.
     """
     votes = as_tensor(votes)
     if iters < 1:
         raise ConfigError("routing needs at least one iteration")
     b, n1, n2, d2 = votes.data.shape
-    u = np.ascontiguousarray(votes.data.transpose(0, 2, 1, 3)).reshape(b * n2, n1, d2)
-    logits, saved = np.zeros((b * n2, 1, n1)), []
+    u = votes.data.transpose(0, 2, 1, 3)
+    logits, saved = np.zeros((b, n2, 1, n1)), []
     for r in range(iters):
-        e = np.exp(logits - logits.max(axis=2, keepdims=True))
-        c = e / e.sum(axis=2, keepdims=True)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        c = e / e.sum(axis=-1, keepdims=True)
         s = np.matmul(c, u)
-        n, k = _squash_scale(s, 2)
+        n, k = _squash_scale(s, -1)
         saved.append((c, s, n, k, s * k))
         if r < iters - 1:
-            logits = logits + np.matmul(s * k, u.swapaxes(1, 2))
+            logits = logits + np.matmul(s * k, u.swapaxes(-1, -2))
     coeff[...] = c.reshape(b, n2, n1).transpose(0, 2, 1)
 
     def back(g):
-        gv, gl, factors = g.reshape(b * n2, 1, d2), 0.0, []
+        gv, gl, factors = g.reshape(b, n2, 1, d2), 0.0, []
         for c, s, n, k, v in reversed(saved):
             if factors:  # a later iteration read v through the logits
                 gv = np.matmul(gl, u)
                 factors.append((gl, v))
-            gs = _squash_grad(s, n, k, gv, 2)
-            gc = np.matmul(gs, u.swapaxes(1, 2))
-            gl = gl + c * (gc - (gc * c).sum(axis=2, keepdims=True))
+            gs = _squash_grad(s, n, k, gv, -1)
+            gc = np.matmul(gs, u.swapaxes(-1, -2))
+            gl = gl + c * (gc - (gc * c).sum(axis=-1, keepdims=True))
             factors.append((c, gs))
         left, right = zip(*factors)
-        gu = np.matmul(np.concatenate(left, 1).swapaxes(1, 2), np.concatenate(right, 1))
-        votes._accumulate(gu.reshape(b, n2, n1, d2).transpose(0, 2, 1, 3))
+        gu = np.empty_like(votes.data)
+        np.matmul(np.concatenate(left, -2).swapaxes(-1, -2), np.concatenate(right, -2),
+                  out=gu.transpose(0, 2, 1, 3))
+        votes._accumulate(gu, owned=True)
 
     return _make(saved[-1][4].reshape(b, n2, d2), (votes,), back, "route_by_agreement")
 

@@ -245,10 +245,12 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
             if tcfg.early_stop_error > 0 and err <= tcfg.early_stop_error:
                 result.stopped_early = True
                 break
-    finally:
+        # only a loop that ended or stopped early saves: a diverged or
+        # interrupted run must not overwrite the last good final.encp
         save_checkpoint(result.final_checkpoint, model, config_text,
                         meta={"epoch": result.epochs_run - 1,
                               "eval_error": repr(result.final_error)})
+    finally:
         metrics.close()
     if result.best_epoch < 0:
         result.best_checkpoint = result.final_checkpoint

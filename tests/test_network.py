@@ -290,6 +290,28 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=f"{name}.*kind 7"):
             load_checkpoint(str(kind_path))
 
+    def test_float32_array_fails_to_save(self, tmp_path):
+        net = build_network(small_cfg(), seed=3)
+        path = tmp_path / "model.encp"
+        with pytest.raises(DataFormatError, match="float32"):
+            save_checkpoint(str(path), net, extra={"x": np.zeros(2, np.float32)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dtype_code_zero_fails_to_load(self, tmp_path):
+        # code 0 was float32, which no checkpoint writes; the first entry's
+        # dtype byte follows its kind byte (see test_corruption_detected)
+        net = build_network(small_cfg(), seed=3)
+        path = str(tmp_path / "model.encp")
+        save_checkpoint(path, net)
+        blob = bytearray(open(path, "rb").read())
+        name_len = struct.unpack_from("<H", blob, 20)[0]
+        assert blob[23 + name_len] == 1
+        blob[23 + name_len] = 0
+        bad = tmp_path / "code0.encp"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="unknown dtype code 0"):
+            load_checkpoint(str(bad))
+
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):

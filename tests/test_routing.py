@@ -40,6 +40,16 @@ def reference_routing(votes, iters):
     return v, coeffs
 
 
+def reference_mapping(m, x):
+    """The grouped 1x1 conv and reshape -> transpose -> reshape gather that
+    CapsuleMapping's one matmul replaces."""
+    b, _, h, w = x.shape
+    y = T.conv2d(x, m.weight, stride=1, padding=0, groups=m.caps_in)
+    y = T.reshape(y, (b, m.caps_in, m.n_out, m.dim_out, h, w))
+    y = T.transpose(y, (0, 1, 4, 5, 2, 3))
+    return T.reshape(y, (b, m.caps_in * h * w, m.n_out, m.dim_out))
+
+
 class TestDynamicRouting:
     def test_coefficients_on_simplex_every_iteration(self):
         votes = random_votes()
@@ -100,6 +110,24 @@ class TestDynamicRouting:
         v, _ = dynamic_routing(random_votes(), iters=3)
         assert not v.requires_grad and v._backward is None
 
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_strided_votes_match_contiguous_copy(self, iters):
+        # a transposed view (the votes of a (B, n2, n1, d2) array) and a view
+        # whose last axis is strided, each against its contiguous copy
+        base = seeded_rng(iters, "strided").normal(size=(2, 3, 7, 10))
+        w = seeded_rng(iters, "w").normal(size=(2, 3, 5))
+        for view in (base[..., :5].transpose(0, 2, 1, 3),
+                     base.transpose(0, 2, 1, 3)[..., ::2]):
+            assert not view.flags.c_contiguous
+            out = []
+            for data in (view, np.ascontiguousarray(view)):
+                votes = Tensor(data, requires_grad=True)
+                v, coeff = dynamic_routing(votes, iters)
+                T.tsum(v * T.constant(w)).backward()
+                out.append((v.data, coeff.data, votes.grad))
+            for strided, contiguous in zip(*out):
+                np.testing.assert_allclose(strided, contiguous, rtol=1e-13, atol=1e-15)
+
     def test_agreement_concentrates_coefficients(self):
         # n1 votes where all but one agree: the outlier loses routing weight
         rng = seeded_rng(0, "agree")
@@ -159,9 +187,26 @@ class TestEMRouting:
 
 class TestCapsuleMapping:
     def test_vote_extent(self):
-        # the conv output carries caps_in*n_out*dim_out channels
+        # the weight keeps a grouped 1x1 conv's layout: caps_in*n_out*dim_out
+        # output channels of dim_in inputs each
         m = CapsuleMapping(4, 8, 10, 16, rng=seeded_rng(0, "map"))
         assert m.weight.data.shape == (4 * 10 * 16, 8, 1, 1)
+
+    def test_matches_grouped_conv_reference(self):
+        m = CapsuleMapping(3, 4, 5, 3, rng=seeded_rng(3, "map"))
+        data = seeded_rng(4, "x").normal(size=(2, 12, 2, 2))
+        probe = T.constant(seeded_rng(5, "p").normal(size=(2, 12, 5, 3)))
+        out = []
+        for mapping in (m, lambda x: reference_mapping(m, x)):
+            m.weight.zero_grad()
+            x = Tensor(data, requires_grad=True)
+            votes = mapping(x)
+            T.tsum(votes * probe).backward()
+            out.append((votes.data, x.grad, m.weight.grad))
+        (votes, gx, gw), (votes_ref, gx_ref, gw_ref) = out
+        np.testing.assert_array_equal(votes, votes_ref)
+        np.testing.assert_allclose(gx, gx_ref, rtol=1e-12)
+        np.testing.assert_allclose(gw, gw_ref, rtol=1e-12)
 
     def test_channel_shares_transform_across_positions(self):
         m = CapsuleMapping(2, 3, 2, 4, rng=seeded_rng(1, "map"))

@@ -403,6 +403,40 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
         assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
 
+    def test_reshape_handoff_does_not_alias_gradients(self):
+        # a reshape hands its input a view of its own gradient; whatever is
+        # accumulated into that input later must not corrupt any leaf grad,
+        # whichever consumer the walk reaches first
+        rng = seeded_rng(0, "handoff")
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        w1, w2, w3 = (rng.normal(size=s) for s in ((3, 4), (2, 6), (12,)))
+        c1, c2, c3 = T.constant(w1), T.constant(w2), T.constant(w3)
+
+        def through_reshape():
+            return T.tsum(T.reshape(x, (3, 4)) * c1)
+
+        builds = {
+            "reshape, then direct": (
+                lambda: through_reshape() + T.tsum(x * c2), w1.reshape(2, 6) + w2),
+            "direct, then reshape": (
+                lambda: T.tsum(x * c2) + through_reshape(), w2 + w1.reshape(2, 6)),
+            "reshape of a reshape": (
+                lambda: T.tsum(T.reshape(T.reshape(x, (12,)), (3, 4)) * c1),
+                w1.reshape(2, 6)),
+            "two reshapes, two consumers": (
+                lambda: through_reshape() + T.tsum(T.reshape(x, (12,)) * c3),
+                w1.reshape(2, 6) + w3.reshape(2, 6)),
+            "squared through a reshape": (
+                lambda: T.tsum(T.reshape(x, (3, 4)) * T.reshape(x, (3, 4)) * c1)
+                + T.tsum(x * x * c2),
+                2 * x.data * (w1.reshape(2, 6) + w2)),
+        }
+        for name, (build, expect) in builds.items():
+            x.zero_grad()
+            build().backward()
+            np.testing.assert_allclose(x.grad, expect, rtol=1e-14, err_msg=name)
+            assert max(check_grads(build, [x])) < 1e-7, name
+
     def test_constant_leaves_keep_no_grad(self):
         x = Tensor(np.ones(3), requires_grad=True)
         c = Tensor(np.ones(3), requires_grad=False)

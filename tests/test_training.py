@@ -142,6 +142,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="param:weight"):
             train_model(net, data, tcfg, out_dir=str(tmp_path))
 
+    def test_diverged_run_keeps_last_good_final_checkpoint(self, tmp_path):
+        net, data, tcfg = tiny_setup(lam=0.0, max_epochs=2)
+        res = train_model(net, data, tcfg, out_dir=str(tmp_path))
+        good = open(res.final_checkpoint, "rb").read()
+        net, data, tcfg = tiny_setup(lam=0.0, max_epochs=2)
+        net.stem.convs[0].weight.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(TrainingDiverged):
+            train_model(net, data, tcfg, out_dir=str(tmp_path))
+        assert open(res.final_checkpoint, "rb").read() == good
+
     def test_early_stop(self, tmp_path):
         net, data, tcfg = tiny_setup(lam=0.0, max_epochs=50,
                                      early_stop_error=1.0)
