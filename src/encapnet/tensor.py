@@ -3,8 +3,9 @@
 A Tensor wraps an ndarray; every op records its inputs and a backward rule on
 the produced node, so the op graph doubles as the tape. backward() on a scalar
 loss topologically orders that graph and visits each node exactly once in
-reverse, accumulating gradients into .grad. Calling backward() again without
-zeroing keeps accumulating; that is the documented behaviour, not an error.
+reverse, accumulating gradients into .grad. Each backward() first clears the
+.grad of every node it walks that has a backward rule, so a second call adds
+each leaf's gradient once more; leaf grads keep accumulating until zeroed.
 
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
@@ -33,6 +34,8 @@ from .errors import ConfigError, DomainError, ShapeError
 
 _grad_enabled = True
 SQUASH_EPS = 1e-8
+# Bytes of im2col columns in one conv2d block of images, so they stay in cache.
+COLS_BLOCK_BYTES = 1 << 20
 
 
 def _hold_heap() -> None:
@@ -161,12 +164,16 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable .grad.
 
-        self must be scalar. Grads add onto whatever is already stored, so
-        zero them between steps.
+        self must be scalar. The .grad of intermediate nodes (those with a
+        backward rule) starts afresh; leaf grads add onto whatever is already
+        stored, so zero them between steps.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         order = self._topo()
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -309,7 +316,7 @@ def relu(a) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def back(g):
-        a._accumulate(g * (a.data > 0))
+        a._accumulate(g * (a.data > 0), owned=True)
 
     return _make(out_data, (a,), back, "relu")
 
@@ -541,7 +548,7 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running_mean=None,
         if x.requires_grad:
             scale = gamma.data.reshape(shape) / std
             x._accumulate(scale * (g - (gsum / n).reshape(shape)
-                                   - xhat * (gxsum / n).reshape(shape)))
+                                   - xhat * (gxsum / n).reshape(shape)), owned=True)
 
     return _make(out, (x, gamma, beta), back, "batch_norm")
 
@@ -648,8 +655,8 @@ def _tap_offsets(k: int, stride: int, wq: int):
             for ki in range(k) for kj in range(k)]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(B,C,H,W) -> columns (B, C*k*k, Ho*Wq), Ho, Wo, Wq.
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """(B,C,H,W) -> columns (B, C*k*k, Ho*Wq); conv2d passes a block of images.
 
     The zero-padded input is split into stride x stride phase images of
     width Wq = Wo + (k-1)//stride (x[pi::s, pj::s] for phase (pi, pj)), each
@@ -662,7 +669,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     ho = conv_out_size(h, k, stride, pad)
     wo = conv_out_size(w, k, stride, pad)
     if _is_pointwise(k, stride, pad):
-        return x.reshape(b, c, h * w), ho, wo, wo
+        return x.reshape(b, c, h * w)
     s = stride
     hq, wq = _phase_shape(k, s, ho, wo)
     # rows and columns past s*hq, s*wq are never under any tap
@@ -677,7 +684,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     cols = np.empty((b, c, k, k, span), dtype=x.dtype)
     for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
         cols[:, :, ki, kj] = phases[pi, pj, :, :, off:off + span]
-    return cols.reshape(b, c * k * k, span), ho, wo, wq
+    return cols.reshape(b, c * k * k, span)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int,
@@ -738,30 +745,48 @@ def _check_conv_channels(cin, cout, groups, w_shape):
 def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 2-D cross-correlation. x: (B,Cin,H,W), w: (Cout,Cin/g,k,k).
 
-    One im2col for all groups (channel-major, so group g's columns are the
-    g-th block of rows) and one batched matmul (G,Cout/g,K) @ (B,G,K,L).
+    Lowered in blocks of images whose columns fit in COLS_BLOCK_BYTES: one
+    im2col per block for all groups (channel-major, so group g's columns are
+    the g-th block of rows) and one batched matmul (G,Cout/g,K) @ (b,G,K,L).
+    The node keeps only x and w; its backward lowers each block again for the
+    weight gradient, summed image by image. A pointwise conv is one block.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and weight")
-    b, cin, _, _ = x.data.shape
+    b, cin, h, wd = x.data.shape
     cout, _, k, k2 = w.data.shape
     if k != k2:
         raise ShapeError("only square kernels supported")
     _check_conv_channels(cin, cout, groups, w.data.shape)
-    cols, ho, wo, wq = _im2col(x.data, k, stride, padding)
-    cols = cols.reshape(b, groups, -1, ho * wq)
+    ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(wd, k, stride, padding)
+    _, wq = _phase_shape(k, stride, ho, wo)
+    step = b if _is_pointwise(k, stride, padding) else max(
+        1, COLS_BLOCK_BYTES // (8 * cin * k * k * ho * wq))
+    blocks = [slice(lo, lo + step) for lo in range(0, b, step)]
     wmat = w.data.reshape(groups, cout // groups, -1)
-    out = _crop(np.matmul(wmat, cols).reshape(b, cout, -1), ho, wq, wo)
+
+    def lower(blk):
+        cols = _im2col(x.data[blk], k, stride, padding)
+        return cols.reshape(-1, groups, wmat.shape[2], ho * wq)
+
+    out = np.empty((b, cout, ho, wo))
+    for blk in blocks:
+        out[blk] = np.matmul(wmat, lower(blk)).reshape(-1, cout, ho, wq)[..., :wo]
 
     def back(g):
-        gy = _widen(g, wq).reshape(b, groups, cout // groups, ho * wq)
-        if w.requires_grad:
-            gw = np.matmul(gy, cols.swapaxes(-1, -2)).sum(axis=0)
-            w._accumulate(gw.reshape(w.data.shape))
-        if x.requires_grad:
-            gcols = np.matmul(wmat.swapaxes(-1, -2), gy)
-            x._accumulate(_col2im(gcols, x.data.shape, k, stride, padding, ho, wo))
+        gw = np.zeros(wmat.shape)
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        for blk in blocks:
+            gy = _widen(g[blk], wq).reshape(-1, groups, cout // groups, ho * wq)
+            if w.requires_grad:
+                for gwi in np.matmul(gy, lower(blk).swapaxes(-1, -2)):
+                    gw += gwi
+            if x.requires_grad:
+                gcols = np.matmul(wmat.swapaxes(-1, -2), gy)
+                gx[blk] = _col2im(gcols, gx[blk].shape, k, stride, padding, ho, wo)
+        w._accumulate(gw.reshape(w.data.shape), owned=True)
+        x._accumulate(gx, owned=True)
 
     return _make(out, (x, w), back, "conv2d")
 
@@ -798,14 +823,13 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
                   padding, hi, wi)
 
     def back(g):
-        gcols, _, _, _ = _im2col(g, k, stride, padding)
-        gcols = gcols.reshape(b, groups, -1, hi * wq)
+        gcols = _im2col(g, k, stride, padding).reshape(b, groups, -1, hi * wq)
         if w.requires_grad:
             gw = np.matmul(xw, gcols.swapaxes(-1, -2)).sum(axis=0)
-            w._accumulate(gw.reshape(w.data.shape))
+            w._accumulate(gw.reshape(w.data.shape), owned=True)
         if x.requires_grad:
             gx = np.matmul(wmat, gcols).reshape(b, cout, -1)
-            x._accumulate(_crop(gx, hi, wq, wi))
+            x._accumulate(_crop(gx, hi, wq, wi), owned=True)
 
     return _make(out, (x, w), back, "conv_transpose2d")
 

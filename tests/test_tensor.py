@@ -4,6 +4,7 @@ backward pass."""
 import contextlib
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,61 @@ class TestConv:
                 w_grads.append(w.grad)
             assert np.array_equal(w_grads[0], w_grads[1])
 
+    @pytest.mark.parametrize("stride,groups", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_blocked_equals_one_block(self, monkeypatch, stride, groups):
+        # a budget of two images' columns lowers a batch of 5 as 2 + 2 + 1
+        rng = seeded_rng(0, "conv-blocks", stride, groups)
+        xd, wd = rng.normal(size=(5, 4, 9, 8)), rng.normal(size=(6, 4 // groups, 3, 3))
+        ho, wo = T.conv_out_size(9, 3, stride, 1), T.conv_out_size(8, 3, stride, 1)
+        per_image = 8 * 4 * 9 * ho * T._phase_shape(3, stride, ho, wo)[1]
+
+        x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+
+        def loss():
+            y = T.conv2d(x, w, stride, 1, groups)
+            return T.tsum(y * y), y.data
+
+        def run():
+            x.zero_grad()
+            w.zero_grad()
+            value, out = loss()
+            value.backward()
+            return out, x.grad, w.grad
+
+        whole = run()
+        monkeypatch.setattr(T, "COLS_BLOCK_BYTES", 2 * per_image + per_image // 2)
+        sizes = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda x, *a: sizes.append(len(x)) or im2col(x, *a))
+        blocked = run()
+        assert sizes == [2, 2, 1] * 2  # forward, then the weight gradient's
+        for name, got, want in zip(("out", "x.grad", "w.grad"), blocked, whole):
+            # the weight gradient is summed image by image either way
+            assert np.array_equal(got, want), name
+        assert max(check_grads(lambda: loss()[0], [x, w])) < 1e-6
+
+    def test_columns_are_blocked_and_not_kept_on_the_tape(self):
+        # numpy reports its buffers to tracemalloc. The whole batch's columns
+        # would be 31.5 MiB here: eval must peak below the output plus a few
+        # blocks, and the training node must hold nothing beyond its output.
+        rng = seeded_rng(0, "conv-memory")
+        x = Tensor(rng.normal(size=(128, 16, 14, 14)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                y = T.conv2d(x, w, 1, 1)
+            eval_peak = tracemalloc.get_traced_memory()[1] - y.data.nbytes
+            del y
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.conv2d(x, w, 1, 1)
+            held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert eval_peak < 4 * T.COLS_BLOCK_BYTES, eval_peak
+        assert held <= 1e6, held
+
     def test_out_size_formula(self):
         assert T.conv_out_size(28, 3, 2, 1) == 14
         assert T.conv_out_size(7, 3, 2, 1) == 4
@@ -393,6 +449,36 @@ class TestBackward:
         y.backward()
         assert x.grad[0] == pytest.approx(12.0, abs=1e-14)
 
+    def test_second_backward_adds_leaf_grads_once(self):
+        x = Tensor(np.array([3.0]), requires_grad=True)
+        y = T.tsum(x * x)
+        y.backward()
+        assert x.grad[0] == 6.0
+        y.backward()
+        assert x.grad[0] == 12.0
+
+    def test_second_backward_through_reshape_handoff(self):
+        # the leaf's grad is a view of the reshape node's: the second walk
+        # must not add into that buffer before handing it down again
+        rng = seeded_rng(0, "second-walk")
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 6))
+        r = T.reshape(x, (3, 4))
+        y = T.tsum(r * T.constant(w1)) + T.tsum(x * T.constant(w2))
+        y.backward()
+        once = x.grad.copy()
+        y.backward()
+        np.testing.assert_allclose(once, w1.reshape(2, 6) + w2, rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 2 * once, rtol=1e-15)
+        assert np.array_equal(r.grad, w1)
+        r = T.reshape(x, (3, 4))
+        y = T.tsum(r * T.constant(w1))
+        x.zero_grad()
+        y.backward()
+        assert np.shares_memory(x.grad, r.grad)
+        y.backward()
+        assert np.array_equal(x.grad, 2 * w1.reshape(2, 6))
+
     def test_first_touch_does_not_alias_shared_gradient(self):
         # add hands the same g to both parents; s's later accumulation must
         # not leak into a.grad, nor a's into s.grad (and so into b.grad)
@@ -412,8 +498,18 @@ class TestBackward:
         w1, w2, w3 = (rng.normal(size=s) for s in ((3, 4), (2, 6), (12,)))
         c1, c2, c3 = T.constant(w1), T.constant(w2), T.constant(w3)
 
+        gamma, beta = T.constant(rng.uniform(0.5, 2.0, size=3)), T.constant(rng.normal(size=3))
+        c4 = T.constant(rng.normal(size=(2, 3, 1, 2)))
+
         def through_reshape():
             return T.tsum(T.reshape(x, (3, 4)) * c1)
+
+        def through_bn():  # relu and batch_norm hand fresh gradients down
+            return T.tsum(T.relu(T.batch_norm(T.reshape(x, (2, 3, 1, 2)), gamma, beta)) * c4)
+
+        x.zero_grad()
+        through_bn().backward()
+        bn_grad = x.grad.copy()
 
         builds = {
             "reshape, then direct": (
@@ -430,6 +526,12 @@ class TestBackward:
                 lambda: T.tsum(T.reshape(x, (3, 4)) * T.reshape(x, (3, 4)) * c1)
                 + T.tsum(x * x * c2),
                 2 * x.data * (w1.reshape(2, 6) + w2)),
+            "relu(batch_norm), then direct": (
+                lambda: through_bn() + T.tsum(x * c2), bn_grad + w2),
+            "direct, then relu(batch_norm)": (
+                lambda: T.tsum(x * c2) + through_bn(), w2 + bn_grad),
+            "relu of the leaf, and direct": (
+                lambda: T.tsum(T.relu(x) * c2) + T.tsum(x * c2), (x.data > 0) * w2 + w2),
         }
         for name, (build, expect) in builds.items():
             x.zero_grad()
