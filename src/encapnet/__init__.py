@@ -51,6 +51,7 @@ _EXPORTS = {
     "DomainError": "errors",
     "DataFormatError": "errors",
     "TrainingDiverged": "errors",
+    "GraphReleased": "errors",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -19,3 +19,7 @@ class DataFormatError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class GraphReleased(RuntimeError):
+    """A backward pass or graph walk reached a node an earlier backward released."""

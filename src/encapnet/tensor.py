@@ -3,9 +3,10 @@
 A Tensor wraps an ndarray; every op records its inputs and a backward rule on
 the produced node, so the op graph doubles as the tape. backward() on a scalar
 loss topologically orders that graph and visits each node exactly once in
-reverse, accumulating gradients into .grad. Each backward() first clears the
-.grad of every node it walks that has a backward rule, so a second call adds
-each leaf's gradient once more; leaf grads keep accumulating until zeroed.
+reverse, accumulating gradients into .grad. Once a node's rule has run, the
+walk releases it: its .grad, parents and rule are dropped, so the tape is freed
+as it is walked and only leaf grads outlive backward(); they keep accumulating
+until zeroed. Walking a released node again raises GraphReleased.
 
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
@@ -30,12 +31,14 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, GraphReleased, ShapeError
 
 _grad_enabled = True
 SQUASH_EPS = 1e-8
 # Bytes of im2col columns in one conv2d block of images, so they stay in cache.
 COLS_BLOCK_BYTES = 1 << 20
+# Stands in for the rule of a node that backward() has run and released.
+_RELEASED = object()
 
 
 def _hold_heap() -> None:
@@ -123,21 +126,20 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g (same shape, or broadcastable to it) into .grad.
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add g, of .data's shape, into .grad.
 
-        An owned g has .data's shape and no other live holder: a kernel's
-        freshly built gradient, or a reshape's view of its own gradient, dead
-        once that backward has run. Its first touch stores it as is. Any other
-        g is copied on first touch: one g may be handed to two parents (add),
-        so storing it as-is would alias their grads. The copy takes the memory
-        layout of .data, not of g, which may be a transposed view.
+        A rule's gradient is dead once the rule returns, since the walk then
+        releases its node, so a first touch stores g as is. A read-only g (a
+        broadcast view, a numpy scalar) is copied into the memory layout of
+        .data, and add copies what it hands its second operand when the first
+        stored that same buffer.
         """
         if not self.requires_grad:
             return
         if self.grad is not None:
             self.grad += g
-        elif owned:
+        elif g.flags.writeable:
             self.grad = g
         else:
             self.grad = np.empty_like(self.data)
@@ -146,6 +148,7 @@ class Tensor:
     # -- graph walk ---------------------------------------------------------
 
     def _topo(self):
+        """Nodes reachable from self, parents first; raises on a released one."""
         order, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -154,6 +157,10 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _RELEASED:
+                raise GraphReleased(
+                    f"a {node.op!r} node was released by an earlier backward(); "
+                    "run the forward again to build a new graph")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -164,20 +171,22 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable .grad.
 
-        self must be scalar. The .grad of intermediate nodes (those with a
-        backward rule) starts afresh; leaf grads add onto whatever is already
-        stored, so zero them between steps.
+        self must be scalar. Leaf grads add onto whatever is already stored,
+        so zero them between steps. Each node with a rule is released as soon
+        as its rule has run, so the graph can be walked once: a second call,
+        or a walk through any node of a walked graph, raises GraphReleased
+        before any .grad changes. Nodes without a rule are never touched.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         order = self._topo()
-        for node in order:
-            if node._backward is not None:
-                node.grad = None
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _RELEASED
 
     # -- operators ----------------------------------------------------------
 
@@ -264,7 +273,8 @@ def add(a, b) -> Tensor:
 
     def back(g):
         a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        gb = _unbroadcast(g, b.data.shape)
+        b._accumulate(gb.copy() if gb is a.grad else gb)
 
     return _make(out_data, (a, b), back, "add")
 
@@ -316,7 +326,7 @@ def relu(a) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def back(g):
-        a._accumulate(g * (a.data > 0), owned=True)
+        a._accumulate(g * (a.data > 0))
 
     return _make(out_data, (a,), back, "relu")
 
@@ -411,7 +421,7 @@ def reshape(a, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def back(g):
-        a._accumulate(g.reshape(a.data.shape), owned=True)
+        a._accumulate(g.reshape(a.data.shape))
 
     return _make(out_data, (a,), back, "reshape")
 
@@ -548,7 +558,7 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running_mean=None,
         if x.requires_grad:
             scale = gamma.data.reshape(shape) / std
             x._accumulate(scale * (g - (gsum / n).reshape(shape)
-                                   - xhat * (gxsum / n).reshape(shape)), owned=True)
+                                   - xhat * (gxsum / n).reshape(shape)))
 
     return _make(out, (x, gamma, beta), back, "batch_norm")
 
@@ -588,7 +598,7 @@ def route_by_agreement(votes, iters: int, coeff: np.ndarray) -> Tensor:
     u = votes.transpose(0, 2, 1, 3), so the votes are never copied. The
     backward sweeps the iterations in reverse; the votes gradient
     sum_r c_r (x) gs_r + sum_r gl_{r+1} (x) v_r is one matmul L^T R, written
-    once in the votes' own layout and handed over as owned.
+    once in the votes' own layout.
     """
     votes = as_tensor(votes)
     if iters < 1:
@@ -620,7 +630,7 @@ def route_by_agreement(votes, iters: int, coeff: np.ndarray) -> Tensor:
         gu = np.empty_like(votes.data)
         np.matmul(np.concatenate(left, -2).swapaxes(-1, -2), np.concatenate(right, -2),
                   out=gu.transpose(0, 2, 1, 3))
-        votes._accumulate(gu, owned=True)
+        votes._accumulate(gu)
 
     return _make(saved[-1][4].reshape(b, n2, d2), (votes,), back, "route_by_agreement")
 
@@ -785,8 +795,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
             if x.requires_grad:
                 gcols = np.matmul(wmat.swapaxes(-1, -2), gy)
                 gx[blk] = _col2im(gcols, gx[blk].shape, k, stride, padding, ho, wo)
-        w._accumulate(gw.reshape(w.data.shape), owned=True)
-        x._accumulate(gx, owned=True)
+        w._accumulate(gw.reshape(w.data.shape))
+        x._accumulate(gx)
 
     return _make(out, (x, w), back, "conv2d")
 
@@ -817,19 +827,22 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
     out_shape = (b, cin_g * groups, ho, wo)
     # x sits where conv2d's output would: same lowered row width
     _, wq = _phase_shape(k, stride, hi, wi)
-    xw = _widen(x.data, wq).reshape(b, groups, cout // groups, hi * wq)
     wmat = w.data.reshape(groups, cout // groups, -1)
-    out = _col2im(np.matmul(wmat.swapaxes(-1, -2), xw), out_shape, k, stride,
+
+    def widened():  # the node keeps x, not this copy of it
+        return _widen(x.data, wq).reshape(b, groups, cout // groups, hi * wq)
+
+    out = _col2im(np.matmul(wmat.swapaxes(-1, -2), widened()), out_shape, k, stride,
                   padding, hi, wi)
 
     def back(g):
         gcols = _im2col(g, k, stride, padding).reshape(b, groups, -1, hi * wq)
         if w.requires_grad:
-            gw = np.matmul(xw, gcols.swapaxes(-1, -2)).sum(axis=0)
-            w._accumulate(gw.reshape(w.data.shape), owned=True)
+            gw = np.matmul(widened(), gcols.swapaxes(-1, -2)).sum(axis=0)
+            w._accumulate(gw.reshape(w.data.shape))
         if x.requires_grad:
             gx = np.matmul(wmat, gcols).reshape(b, cout, -1)
-            x._accumulate(_crop(gx, hi, wq, wi), owned=True)
+            x._accumulate(_crop(gx, hi, wq, wi))
 
     return _make(out, (x, w), back, "conv_transpose2d")
 
@@ -837,7 +850,10 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
 # -- diagnostics ------------------------------------------------------------------
 
 def find_first_nonfinite(root: Tensor) -> str | None:
-    """Name of the earliest op in forward order whose output is non-finite."""
+    """Name of the earliest op in forward order whose output is non-finite.
+
+    Raises GraphReleased on a graph that backward() has walked.
+    """
     for node in root._topo():
         if not np.all(np.isfinite(node.data)):
             return node.op

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from encapnet import tensor as T
-from encapnet.errors import DomainError, ShapeError
+from encapnet.errors import DomainError, GraphReleased, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.tensor import Tensor, find_first_nonfinite, seeded_rng
 
@@ -311,6 +311,25 @@ class TestConv:
         assert eval_peak < 4 * T.COLS_BLOCK_BYTES, eval_peak
         assert held <= 1e6, held
 
+    def test_transpose_keeps_only_its_input_on_the_tape(self):
+        # a 3x3 kernel widens the input to the lowered row width, a 0.9 MiB
+        # copy here: the training node must hold no more than the eval output
+        rng = seeded_rng(0, "convt-memory")
+        x = Tensor(rng.normal(size=(32, 64, 7, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 16, 3, 3)), requires_grad=True)
+        held = []
+        tracemalloc.start()
+        try:
+            for mode in (T.no_grad, contextlib.nullcontext):
+                before = tracemalloc.get_traced_memory()[0]
+                with mode():
+                    y = T.conv_transpose2d(x, w, 2, 1, 1, 4)
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+                del y
+        finally:
+            tracemalloc.stop()
+        assert held[1] - held[0] <= 64 << 10, held
+
     def test_out_size_formula(self):
         assert T.conv_out_size(28, 3, 2, 1) == 14
         assert T.conv_out_size(7, 3, 2, 1) == 4
@@ -454,12 +473,13 @@ class TestBackward:
         y = T.tsum(x * x)
         y.backward()
         assert x.grad[0] == 6.0
-        y.backward()
-        assert x.grad[0] == 12.0
+        with pytest.raises(GraphReleased):
+            y.backward()
+        assert x.grad[0] == 6.0
 
     def test_second_backward_through_reshape_handoff(self):
-        # the leaf's grad is a view of the reshape node's: the second walk
-        # must not add into that buffer before handing it down again
+        # the walk released the reshape node, whose gradient the leaf's grad
+        # is a view of: a second walk raises and leaves that grad alone
         rng = seeded_rng(0, "second-walk")
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 6))
@@ -467,17 +487,29 @@ class TestBackward:
         y = T.tsum(r * T.constant(w1)) + T.tsum(x * T.constant(w2))
         y.backward()
         once = x.grad.copy()
-        y.backward()
+        with pytest.raises(GraphReleased):
+            y.backward()
         np.testing.assert_allclose(once, w1.reshape(2, 6) + w2, rtol=1e-15)
-        np.testing.assert_allclose(x.grad, 2 * once, rtol=1e-15)
-        assert np.array_equal(r.grad, w1)
+        assert np.array_equal(x.grad, once)
+        assert r.grad is None and r._parents == ()
         r = T.reshape(x, (3, 4))
         y = T.tsum(r * T.constant(w1))
         x.zero_grad()
         y.backward()
-        assert np.shares_memory(x.grad, r.grad)
-        y.backward()
-        assert np.array_equal(x.grad, 2 * w1.reshape(2, 6))
+        assert r.grad is None and r._parents == ()
+        with pytest.raises(GraphReleased):
+            y.backward()
+        assert np.array_equal(x.grad, w1.reshape(2, 6))
+
+    def test_walk_through_released_node_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = T.relu(x * 3.0)
+        T.tsum(h).backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        z = T.tsum(h * h) + T.tsum(x)
+        with pytest.raises(GraphReleased, match="'relu' node was released"):
+            z.backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
     def test_first_touch_does_not_alias_shared_gradient(self):
         # add hands the same g to both parents; s's later accumulation must
@@ -488,6 +520,27 @@ class TestBackward:
         T.tsum(s + a).backward()
         assert np.array_equal(a.grad, [2.0, 2.0, 2.0])
         assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_first_touch_of_a_repeated_operand(self):
+        # an operand handed one gradient buffer twice, or a read-only
+        # broadcast of one, and reached again by a later consumer
+        rng = seeded_rng(0, "repeated-operand")
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
+        c1, c2 = T.constant(w1), T.constant(w2)
+        builds = {
+            "x + x": (lambda: T.tsum((x + x) * c1) + T.tsum(x * c1), 3 * w1),
+            "concat([x, x])": (lambda: T.tsum(T.concat([x, x], 0) * c2) + T.tsum(x * c1),
+                               w2[:2] + w2[2:] + w1),
+            "tsum of x, and x": (lambda: T.tsum(x) * 2.0 + T.tsum(x * c1), 2.0 + w1),
+            "x, and tsum of x": (lambda: T.tsum(x * c1) + T.tsum(x) * 2.0, w1 + 2.0),
+        }
+        for name, (build, expect) in builds.items():
+            x.zero_grad()
+            build().backward()
+            np.testing.assert_allclose(x.grad, expect, rtol=1e-14, err_msg=name)
+            assert x.grad.flags.writeable, name
+            assert max(check_grads(build, [x])) < 1e-7, name
 
     def test_reshape_handoff_does_not_alias_gradients(self):
         # a reshape hands its input a view of its own gradient; whatever is
@@ -551,6 +604,13 @@ class TestBackward:
         bad = T.log(x - 1.0)  # log(0) -> -inf
         loss = T.tsum(bad * 0.0)  # nan downstream
         assert find_first_nonfinite(loss) == "log"
+
+    def test_find_first_nonfinite_rejects_a_released_graph(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = T.tsum(T.log(x + 1.0))
+        loss.backward()
+        with pytest.raises(GraphReleased):
+            find_first_nonfinite(loss)
 
 
 class TestSeededRng:

@@ -1,11 +1,17 @@
-"""Training loop plumbing: schedules, metrics, guards, determinism."""
+"""Training loop plumbing: schedules, metrics, guards, determinism, memory."""
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from encapnet.data import synth_generate
-from encapnet.errors import ConfigError, TrainingDiverged
+from encapnet.capsules import margin_loss
+from encapnet.configfile import load_config
+from encapnet.data import batches, synth_generate
+from encapnet.errors import ConfigError, GraphReleased, TrainingDiverged
 from encapnet.network import ModuleSpec, NetworkConfig, StemSpec, build_network
+from encapnet.optim import Adam
 from encapnet.sinkhorn import OTConfig
 from encapnet.training import (MetricsWriter, TrainConfig, evaluate, lr_at,
                                read_metrics, scale_config, train_model)
@@ -166,3 +172,44 @@ class TestTrainLoop:
         from encapnet.checkpoint import load_checkpoint
         ck = load_checkpoint(res.best_checkpoint)
         assert int(ck.meta["epoch"]) == res.best_epoch
+
+
+def test_training_step_holds_only_parameter_grads():
+    # backward releases the tape as it walks it: after one step of the
+    # synth_quick model with feedback on, its loss still bound as a training
+    # loop keeps it, what stays allocated is the parameter gradients
+    rc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                  "synth_quick.ini"))
+    model = build_network(rc.net, seed=0)
+    params = list(model.named_params())
+    opt = Adam(params, lr=rc.train.lr, weight_decay=rc.train.weight_decay)
+    images, labels = next(batches(*synth_generate(16, rc.net.n_classes, rc.net.image_size),
+                                  8, shuffle=False, augment=False))
+    model.set_mode(True)
+    param_bytes = sum(p.data.nbytes for _, p in params)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        caps, ots = model(Tensor(images), with_feedback=True)
+        loss = margin_loss(caps, labels)
+        for vals in ots:
+            for val in vals:
+                loss = loss + rc.train.lam * val
+        nodes = [n for n in loss._topo() if n._backward is not None]
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        assert all(n._parents == () and n.grad is None for n in nodes)
+        del nodes
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= param_bytes + (64 << 10), (held, param_bytes)
+
+    # a new op on a released node: the walk raises before any grad changes
+    grads = [p.grad.copy() for _, p in params]
+    with pytest.raises(GraphReleased):
+        (loss + margin_loss(caps, labels)).backward()
+    for (name, p), g in zip(params, grads):
+        assert np.array_equal(p.grad, g), name
