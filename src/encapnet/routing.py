@@ -1,11 +1,10 @@
 """Iterative routing baselines: dynamic (agreement) and EM (Gaussian cluster).
 
-Both consume a vote tensor (B, n1, n2, d2): every lower capsule i proposes a
-d2-vector for every higher capsule j. Votes come from CapsuleMapping, one
-matmul batched over capsule channels, so capsules at different spatial
-locations of one channel share their transform while different channels own
-distinct ones. Dynamic routing is one tape node whose backward sweeps every
-iteration; EM routing is unrolled.
+Every lower capsule i votes a d2-vector for every higher capsule j, its pose
+times a transform that all spatial locations of its capsule channel share
+(CapsuleMapping). EM routing consumes the votes (B, n1, n2, d2) and is
+unrolled. Dynamic routing is one tape node on the poses and transforms that
+never builds the votes; its backward sweeps every iteration.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ from .tensor import Tensor
 
 
 class CapsuleMapping(Layer):
-    """Votes for all (lower, higher) capsule pairs via one batched matmul.
+    """Poses, per-channel transforms and their product, the votes.
 
     Input (B, caps_in*dim_in, H, W) -> votes (B, n1, n2, dim_out) with
-    n1 = caps_in*H*W: the poses (B, caps_in, H*W, dim_in) times the weight
-    viewed as (caps_in, dim_in, n_out*dim_out), whose product reshapes to the
-    votes without a copy. The weight keeps the layout of a grouped 1x1 conv,
+    n1 = caps_in*H*W: the poses (B, caps_in, H*W, dim_in), a view of the
+    input, times the transforms (caps_in, dim_in, n_out, dim_out), a view of
+    the weight, whose product reshapes to the votes without a copy. The
+    weight keeps the layout of a grouped 1x1 conv,
     (caps_in*n_out*dim_out, dim_in, 1, 1): that extent is exactly why
     iterative capsule layers get huge.
     """
@@ -43,21 +43,29 @@ class CapsuleMapping(Layer):
         self.weight = self.add_param(
             "weight", gaussian_init(rng, (cout, dim_in, 1, 1), dim_in))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def poses(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
         g, d = self.caps_in, self.dim_in
         if c != g * d:
             raise ShapeError(f"expected {g * d} channels, got {c}")
-        poses = T.transpose(T.reshape(x, (b, g, d, h * w)), (0, 1, 3, 2))
-        wmat = T.transpose(T.reshape(self.weight, (g, -1, d)), (0, 2, 1))
-        votes = T.matmul(poses, wmat)  # (B, caps_in, H*W, n_out*dim_out)
-        return T.reshape(votes, (b, g * h * w, self.n_out, self.dim_out))
+        return T.transpose(T.reshape(x, (b, g, d, h * w)), (0, 1, 3, 2))
+
+    def transforms(self) -> Tensor:
+        shape = (self.caps_in, self.n_out, self.dim_out, self.dim_in)
+        return T.transpose(T.reshape(self.weight, shape), (0, 3, 1, 2))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        g, d, n2 = self.caps_in, self.dim_in, self.n_out
+        votes = T.matmul(self.poses(x), T.reshape(self.transforms(), (g, d, -1)))
+        return T.reshape(votes, (x.shape[0], -1, n2, self.dim_out))
 
 
-def dynamic_routing(votes: Tensor, iters: int = 3):
-    """Agreement routing, one node (tensor.route_by_agreement): (v, constant coefficients)."""
-    coeff = np.empty(votes.shape[:3])
-    return T.route_by_agreement(votes, iters, coeff), T.constant(coeff)
+def dynamic_routing(poses: Tensor, transforms: Tensor, iters: int = 3):
+    """Agreement routing on the votes poses @ transforms, which it never
+    builds (tensor.route_by_agreement): (v, constant coefficients)."""
+    b, g, p, _ = poses.shape
+    coeff = np.empty((b, g * p, transforms.shape[2]))
+    return T.route_by_agreement(poses, transforms, iters, coeff), T.constant(coeff)
 
 
 EM_VAR_FLOOR = 1e-6
@@ -108,8 +116,8 @@ def em_routing(votes: Tensor, activations: Tensor, iters: int = 3,
     return mu, a_out, coeff
 
 
-# Bytes of votes one routing call takes; larger batches are routed in blocks of
-# images, whose votes reuse heap memory (glibc maps 32 MiB and up afresh).
+# Bytes of votes one block of images maps; larger batches are mapped in blocks,
+# whose votes reuse heap memory (glibc maps 32 MiB and up afresh).
 VOTE_BLOCK_BYTES = 1 << 23
 
 
@@ -118,8 +126,9 @@ class CapNetLayer(Layer):
 
     Higher capsules are laid out as caps_out channels on an out_hw grid, so
     n2 = caps_out * out_h * out_w. With out_hw (1,1) and caps_out = n_classes
-    this is the terminal class-capsule layer. Images are mapped and routed in
-    blocks whose votes fit in VOTE_BLOCK_BYTES.
+    this is the terminal class-capsule layer. Dynamic routing takes the whole
+    batch and builds no votes; EM routing and the keep_stats record map images
+    in blocks whose votes fit in VOTE_BLOCK_BYTES.
     """
 
     _children = ("mapping",)
@@ -144,12 +153,14 @@ class CapNetLayer(Layer):
         b, _, h, w = x.shape
         step = max(1, VOTE_BLOCK_BYTES // (8 * self.caps_in * h * w * self.n2 * self.dim_out))
         vs, kept = [], []
-        for lo in range(0, b, step):
+        if self.routing == "dynamic":
+            m = self.mapping
+            vs.append(dynamic_routing(m.poses(x), m.transforms(), self.iters)[0])
+        # only EM routing and the keep_stats record read votes
+        for lo in range(0, b if self.routing == "em" or self.keep_stats else 0, step):
             xb = x if step >= b else T.slice_axis(x, 0, lo, lo + step)
             votes = self.mapping(xb)
-            if self.routing == "dynamic":
-                vs.append(dynamic_routing(votes, self.iters)[0])
-            else:
+            if self.routing == "em":
                 a_in = capsule_norms(grid_to_capsules(xb, self.caps_in, self.dim_in))
                 vs.append(em_routing(votes, a_in, self.iters)[0])
             kept += [votes.data] if self.keep_stats else []

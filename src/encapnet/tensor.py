@@ -589,50 +589,75 @@ def squash(s, axis: int = -1) -> Tensor:
     return _make(s.data * k, (s,), back, "squash")
 
 
-def route_by_agreement(votes, iters: int, coeff: np.ndarray) -> Tensor:
-    """Dynamic routing of votes (B, n1, n2, d2) to v (B, n2, d2) as one node.
+def route_by_agreement(poses, transforms, iters: int, coeff: np.ndarray) -> Tensor:
+    """Dynamic routing to v (B, n2, d2) as one node, on votes it never forms.
 
-    Per iteration c = softmax over n1 of the logits, v = squash(sum_i c_i u_i)
-    and, but on the last, logits += u_i . v; the last c is written to coeff.
-    Both sums are matmuls batched over (b, j) on the strided view
-    u = votes.transpose(0, 2, 1, 3), so the votes are never copied. The
-    backward sweeps the iterations in reverse; the votes gradient
-    sum_r c_r (x) gs_r + sum_r gl_{r+1} (x) v_r is one matmul L^T R, written
-    once in the votes' own layout.
+    poses (B, g, p, k) and transforms (g, k, n2, d2) imply the votes
+    u[b, i, j] = poses[b, g, p] @ transforms[g, :, j] of the n1 = g*p lower
+    capsules i = (g, p). Per iteration c = softmax over n1 of the logits,
+    v = squash(sum_i c_i u_i) and, but on the last, logits += u_i . v; the
+    last c is written to coeff (B, n1, n2). Both sums contract through the
+    poses P and the transforms W instead: Q = c^T P batched over (b, g), then
+    s = Q W batched over j; A = W v batched over j, then P A. The backward
+    sweeps the iterations in reverse and adds each one's share of the poses
+    gradient, c gQ + gl A^T, and of the transforms gradient, Q^T gs + gA^T v.
     """
-    votes = as_tensor(votes)
+    poses, transforms = as_tensor(poses), as_tensor(transforms)
     if iters < 1:
         raise ConfigError("routing needs at least one iteration")
-    b, n1, n2, d2 = votes.data.shape
-    u = votes.data.transpose(0, 2, 1, 3)
-    logits, saved = np.zeros((b, n2, 1, n1)), []
+    b, g, p, k = poses.data.shape
+    if transforms.data.shape[:2] != (g, k):
+        raise ShapeError(f"transforms {transforms.data.shape} do not map poses {poses.data.shape}")
+    n2, d2 = transforms.data.shape[2:]
+    P = poses.data
+    W = np.ascontiguousarray(transforms.data.transpose(2, 0, 1, 3)).reshape(n2, g * k, d2)
+
+    def per_image(a):  # (n2, B, g*k) -> (B, g, k, n2) view
+        return a.reshape(n2, b, g, k).transpose(1, 2, 3, 0)
+
+    logits, saved = np.zeros((b, g * p, n2)), []
     for r in range(iters):
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        c = e / e.sum(axis=-1, keepdims=True)
-        s = np.matmul(c, u)
-        n, k = _squash_scale(s, -1)
-        saved.append((c, s, n, k, s * k))
-        if r < iters - 1:
-            logits = logits + np.matmul(s * k, u.swapaxes(-1, -2))
-    coeff[...] = c.reshape(b, n2, n1).transpose(0, 2, 1)
+        if r == 0:  # a softmax of zero logits, bit for bit
+            c = np.full((b, g, p, n2), 1.0 / (g * p))
+        else:
+            c = logits - logits.max(axis=1, keepdims=True)
+            np.exp(c, out=c)
+            c /= c.sum(axis=1, keepdims=True)
+            c = c.reshape(b, g, p, n2)
+        q = np.empty((n2, b, g * k))
+        np.matmul(c.swapaxes(-1, -2), P, out=per_image(q).swapaxes(-1, -2))
+        s = np.matmul(q, W)
+        n, scale = _squash_scale(s, -1)
+        v = s * scale
+        a = np.matmul(v, W.swapaxes(-1, -2)) if r < iters - 1 else None
+        if a is not None:
+            logits += np.matmul(P, per_image(a)).reshape(b, g * p, n2)
+        saved += [(c, q, s, n, scale, v, a)] if _grad_enabled else []
+    coeff[...] = c.reshape(b, g * p, n2)
 
-    def back(g):
-        gv, gl, factors = g.reshape(b, n2, 1, d2), 0.0, []
-        for c, s, n, k, v in reversed(saved):
-            if factors:  # a later iteration read v through the logits
-                gv = np.matmul(gl, u)
-                factors.append((gl, v))
-            gs = _squash_grad(s, n, k, gv, -1)
-            gc = np.matmul(gs, u.swapaxes(-1, -2))
-            gl = gl + c * (gc - (gc * c).sum(axis=-1, keepdims=True))
-            factors.append((c, gs))
-        left, right = zip(*factors)
-        gu = np.empty_like(votes.data)
-        np.matmul(np.concatenate(left, -2).swapaxes(-1, -2), np.concatenate(right, -2),
-                  out=gu.transpose(0, 2, 1, 3))
-        votes._accumulate(gu)
+    def back(g_out):
+        gv, gl = g_out.transpose(1, 0, 2), None
+        gp, gw = np.zeros_like(P), np.zeros_like(W)
+        for c, q, s, n, scale, v, a in reversed(saved):
+            if a is not None:  # a later iteration read v through the logits
+                ga = np.empty((n2, b, g * k))
+                np.matmul(P.swapaxes(-1, -2), gl, out=per_image(ga))
+                gv = np.matmul(ga, W)
+                gp += np.matmul(gl, per_image(a).swapaxes(-1, -2))
+                gw += np.matmul(ga.swapaxes(-1, -2), v)
+            gs = _squash_grad(s, n, scale, gv, -1)
+            gq = np.matmul(gs, W.swapaxes(-1, -2))
+            gp += np.matmul(c, per_image(gq).swapaxes(-1, -2))
+            gw += np.matmul(q.swapaxes(-1, -2), gs)
+            # softmax backward; sum_i c_i gc_i contracts to sum_{g,k} Q gQ
+            dot = (q * gq).sum(axis=-1).T.reshape(b, 1, 1, n2)
+            gc = c * (np.matmul(P, per_image(gq)) - dot)
+            gl = gc if gl is None else gl + gc
+        poses._accumulate(gp)
+        transforms._accumulate(gw.reshape(n2, g, k, d2).transpose(1, 2, 0, 3))
 
-    return _make(saved[-1][4].reshape(b, n2, d2), (votes,), back, "route_by_agreement")
+    return _make(np.ascontiguousarray(v.transpose(1, 0, 2)), (poses, transforms), back,
+                 "route_by_agreement")
 
 
 # -- convolution ----------------------------------------------------------------
@@ -832,8 +857,9 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
     def widened():  # the node keeps x, not this copy of it
         return _widen(x.data, wq).reshape(b, groups, cout // groups, hi * wq)
 
-    out = _col2im(np.matmul(wmat.swapaxes(-1, -2), widened()), out_shape, k, stride,
-                  padding, hi, wi)
+    # a copy, where _col2im crops a view of its padded buffer
+    out = np.ascontiguousarray(_col2im(np.matmul(wmat.swapaxes(-1, -2), widened()),
+                                       out_shape, k, stride, padding, hi, wi))
 
     def back(g):
         gcols = _im2col(g, k, stride, padding).reshape(b, groups, -1, hi * wq)

@@ -32,6 +32,7 @@ from encapnet.sinkhorn import (OTConfig, brute_force_ot, cost_matrix,
                                sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 from encapnet.training import train_model
+from routing_inputs import one_hot_routing
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -162,7 +163,7 @@ def test_structural_routing_invariants():
     # dynamic coefficients live on the simplex at every iteration depth
     votes = Tensor(seeded_rng(0, "votes").normal(size=(2, 6, 4, 5)))
     for iters in (1, 2, 3, 4, 5):
-        _, coeff = dynamic_routing(votes, iters=iters)
+        _, coeff = dynamic_routing(*one_hot_routing(votes), iters=iters)
         np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
 
     # EM assignments per lower capsule sum to one
@@ -174,7 +175,7 @@ def test_structural_routing_invariants():
     # a single iteration is uniform averaging: the coefficients bitwise, the
     # output up to the summation order of the sum over lower capsules
     b, n1, n2, d2 = votes.shape
-    v, coeff = dynamic_routing(votes, iters=1)
+    v, coeff = dynamic_routing(*one_hot_routing(votes), iters=1)
     np.testing.assert_array_equal(coeff.data, np.full((b, n1, n2), 1.0 / n1))
     expect = squash(Tensor(votes.data.mean(axis=1)), axis=-1).data
     np.testing.assert_allclose(v.data, expect, rtol=1e-13)

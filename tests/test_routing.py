@@ -1,6 +1,7 @@
 """Iterative routing: simplex invariants, degenerate cases, histograms."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
                               dynamic_routing, em_routing, routing_histogram,
                               write_histogram_csv)
 from encapnet.tensor import Tensor, seeded_rng
+from routing_inputs import one_hot_routing
 
 
 def random_votes(b=2, n1=6, n2=4, d2=5, seed=0):
@@ -56,18 +58,18 @@ class TestDynamicRouting:
         _, coeffs = reference_routing(votes, 5)
         for iters, ref in enumerate(coeffs, start=1):
             np.testing.assert_allclose(ref.sum(axis=1), 1.0, atol=1e-12)
-            _, coeff = dynamic_routing(votes, iters=iters)
+            _, coeff = dynamic_routing(*one_hot_routing(votes), iters=iters)
             np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(coeff.data, ref, rtol=1e-12)
 
     def test_returned_coefficients_sum_to_one(self):
-        _, coeff = dynamic_routing(random_votes(), iters=3)
+        _, coeff = dynamic_routing(*one_hot_routing(random_votes()), iters=3)
         np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_one_iteration_is_uniform_average(self):
         votes = random_votes(seed=3)
         b, n1, n2, d2 = votes.shape
-        v, coeff = dynamic_routing(votes, iters=1)
+        v, coeff = dynamic_routing(*one_hot_routing(votes), iters=1)
         # a softmax of zero logits is exactly 1/n1
         np.testing.assert_array_equal(coeff.data, np.full((b, n1, n2), 1.0 / n1))
         # the sum over n1 is a matmul here, so only the summation order differs
@@ -80,7 +82,7 @@ class TestDynamicRouting:
         data = random_votes(b=2, n1=7, n2=3, d2=5, seed=iters).data
         w = seeded_rng(iters, "w").normal(size=(2, 3, 5))
         out = []
-        for route in (lambda u: dynamic_routing(u, iters)[0],
+        for route in (lambda u: dynamic_routing(*one_hot_routing(u), iters)[0],
                       lambda u: reference_routing(u, iters)[0]):
             votes = Tensor(data.copy(), requires_grad=True)
             v = route(votes)
@@ -94,20 +96,22 @@ class TestDynamicRouting:
     def test_check_grads_on_votes(self, iters):
         votes = random_votes(b=2, n1=5, n2=3, d2=4, seed=10 + iters)
         w = T.constant(seeded_rng(iters, "w").normal(size=(2, 3, 4)))
-        errs = check_grads(lambda: T.tsum(dynamic_routing(votes, iters)[0] * w), [votes])
+        errs = check_grads(
+            lambda: T.tsum(dynamic_routing(*one_hot_routing(votes), iters)[0] * w), [votes])
         assert errs[0] < 1e-7
 
     def test_one_node_without_tape_under_no_grad(self):
         votes = random_votes()
         votes.requires_grad = True
-        v, _ = dynamic_routing(votes, iters=3)
-        assert v._parents == (votes,) and v._backward is not None
+        poses, transforms = one_hot_routing(votes)
+        v, _ = dynamic_routing(poses, transforms, iters=3)
+        assert v._parents == (poses, transforms) and v._backward is not None
         with T.no_grad():
-            v, _ = dynamic_routing(votes, iters=3)
+            v, _ = dynamic_routing(*one_hot_routing(votes), iters=3)
         assert v._parents == () and v._backward is None
 
     def test_votes_without_grad_give_no_backward_rule(self):
-        v, _ = dynamic_routing(random_votes(), iters=3)
+        v, _ = dynamic_routing(*one_hot_routing(random_votes()), iters=3)
         assert not v.requires_grad and v._backward is None
 
     @pytest.mark.parametrize("iters", [1, 3])
@@ -122,7 +126,7 @@ class TestDynamicRouting:
             out = []
             for data in (view, np.ascontiguousarray(view)):
                 votes = Tensor(data, requires_grad=True)
-                v, coeff = dynamic_routing(votes, iters)
+                v, coeff = dynamic_routing(*one_hot_routing(votes), iters)
                 T.tsum(v * T.constant(w)).backward()
                 out.append((v.data, coeff.data, votes.grad))
             for strided, contiguous in zip(*out):
@@ -134,13 +138,87 @@ class TestDynamicRouting:
         base = rng.normal(size=4)
         votes = np.tile(base, (1, 5, 1, 1))
         votes[0, 4, 0] = -base * 3
-        _, coeff = dynamic_routing(Tensor(votes), iters=3)
+        _, coeff = dynamic_routing(*one_hot_routing(Tensor(votes)), iters=3)
         c = coeff.data[0, :, 0]
         assert c[4] < c[0]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigError):
-            dynamic_routing(random_votes(), iters=0)
+            dynamic_routing(*one_hot_routing(random_votes()), iters=0)
+
+
+def routing_operands(b=2, g=3, p=4, k=5, n2=6, d2=7, seed=0):
+    """Leaf poses (B, g, p, k) and transforms (g, k, n2, d2); all extents differ."""
+    rng = seeded_rng(seed, "operands")
+    return (Tensor(rng.normal(size=(b, g, p, k)), requires_grad=True),
+            Tensor(rng.normal(size=(g, k, n2, d2)), requires_grad=True))
+
+
+def explicit_votes(poses, transforms):
+    """The votes poses @ transforms that the routing node never forms."""
+    b, g, p, k = poses.shape
+    n2, d2 = transforms.shape[2:]
+    votes = T.matmul(poses, T.reshape(transforms, (g, k, n2 * d2)))
+    return T.reshape(votes, (b, g * p, n2, d2))
+
+
+class TestRouteOnPoses:
+    @pytest.mark.parametrize("iters", [1, 2, 3, 4])
+    def test_matches_reference_on_explicit_votes(self, iters):
+        probe = T.constant(seeded_rng(iters, "probe").normal(size=(2, 6, 7)))
+        out = []
+        for route in (lambda P, W: dynamic_routing(P, W, iters),
+                      lambda P, W: reference_routing(explicit_votes(P, W), iters)):
+            poses, transforms = routing_operands(seed=iters)
+            v, coeff = route(poses, transforms)
+            coeff = coeff.data if isinstance(coeff, Tensor) else coeff[-1]
+            T.tsum(v * probe).backward()
+            out.append((v.data, coeff, poses.grad, transforms.grad))
+        # gradient entries that cancel to ~1e-5 differ in the last bits of
+        # their summands, so the floor is 1e-12 of each array's largest entry
+        for got, want in zip(*out):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_check_grads_on_poses_and_transforms(self, iters):
+        poses, transforms = routing_operands(b=2, g=2, p=3, k=4, n2=3, d2=5, seed=20 + iters)
+        probe = T.constant(seeded_rng(iters, "probe").normal(size=(2, 3, 5)))
+        errs = check_grads(
+            lambda: T.tsum(dynamic_routing(poses, transforms, iters)[0] * probe),
+            [poses, transforms])
+        assert max(errs) < 1e-7, errs
+
+    def test_strided_poses_match_contiguous_copy(self):
+        # the layout CapsuleMapping hands over: poses a transposed view of a
+        # (B, g, k, p) array, transforms a permuted view of the weight
+        rng = seeded_rng(0, "strided")
+        pose_view = rng.normal(size=(2, 3, 5, 4)).transpose(0, 1, 3, 2)
+        weight_view = rng.normal(size=(3, 6, 7, 5)).transpose(0, 3, 1, 2)
+        probe = T.constant(rng.normal(size=(2, 6, 7)))
+        out = []
+        for P, W in ((pose_view, weight_view),
+                     (np.ascontiguousarray(pose_view), np.ascontiguousarray(weight_view))):
+            poses, transforms = Tensor(P, requires_grad=True), Tensor(W, requires_grad=True)
+            v, coeff = dynamic_routing(poses, transforms, 3)
+            T.tsum(v * probe).backward()
+            out.append((v.data, coeff.data, poses.grad, transforms.grad))
+        assert not pose_view.flags.c_contiguous
+        for strided, contiguous in zip(*out):
+            np.testing.assert_allclose(strided, contiguous, rtol=1e-13, atol=1e-15)
+
+    def test_no_tape_under_no_grad(self):
+        poses, transforms = routing_operands()
+        v, _ = dynamic_routing(poses, transforms, 3)
+        assert v._parents == (poses, transforms) and v._backward is not None
+        with T.no_grad():
+            v, _ = dynamic_routing(poses, transforms, 3)
+        assert v._parents == () and v._backward is None and not v.requires_grad
+
+    def test_rejects_transforms_of_other_poses(self):
+        poses, _ = routing_operands(g=3, k=5)
+        _, transforms = routing_operands(g=3, k=4)
+        with pytest.raises(ShapeError):
+            dynamic_routing(poses, transforms, 3)
 
 
 class TestEMRouting:
@@ -251,22 +329,51 @@ class TestCapNetLayer:
     @pytest.mark.parametrize("routing", ["dynamic", "em"])
     def test_image_blocks_match_one_call(self, monkeypatch, routing):
         # one image's votes are 2*(2*2)*3*4 doubles = 768 bytes, so a
-        # 1600-byte block routes the 5 images as 2 + 2 + 1
+        # 1600-byte block maps the 5 images as 2 + 2 + 1. Dynamic routing
+        # takes the whole batch in one node and blocks only its keep_stats
+        # record, so its blocked run is checked against the grouped-conv
+        # votes routed op by op.
         x = seeded_rng(1, "x").normal(size=(5, 8, 2, 2))
-        runs = []
-        for block_bytes in (routing_mod.VOTE_BLOCK_BYTES, 1600):
+
+        def run(block_bytes, reference):
             monkeypatch.setattr(routing_mod, "VOTE_BLOCK_BYTES", block_bytes)
             layer = CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), routing=routing,
                                 rng=seeded_rng(0, "blk"))
             layer.keep_stats = True
             xt = Tensor(x, requires_grad=True)
-            out = layer(xt)
+            if reference:
+                votes = reference_mapping(layer.mapping, xt)
+                v = reference_routing(votes, layer.iters)[0]
+                out, record = T.reshape(v, (5, 12, 1, 1)), (votes.data, v.data)
+            else:
+                out = layer(xt)
+                record = (layer.last_votes, layer.last_output)
             T.tsum(out * out).backward()
-            runs.append((out.data, layer.last_votes, layer.last_output, xt.grad,
-                         layer.mapping.weight.grad))
-        assert runs[1][1].shape == (5, 8, 3, 4)
-        for whole, blocked in zip(*runs):
-            np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-15)
+            return (out.data, *record, xt.grad, layer.mapping.weight.grad)
+
+        whole = run(routing_mod.VOTE_BLOCK_BYTES, reference=routing == "dynamic")
+        blocked = run(1600, reference=False)
+        assert blocked[1].shape == (5, 8, 3, 4)
+        for w, b in zip(whole, blocked):
+            np.testing.assert_allclose(b, w, rtol=1e-12, atol=1e-15)
+
+    def test_dynamic_layer_holds_no_votes(self):
+        # routing_train's hidden layer: 8 images of 8x4 capsules on a 4x4 grid
+        # routed to 64x16, whose votes would take 8 MiB. numpy reports its
+        # buffers to tracemalloc; after the training forward the layer's tape
+        # must hold less than half of that.
+        layer = CapNetLayer(8, 4, (4, 4), 4, 16, (4, 4), rng=seeded_rng(0, "mem"))
+        x = Tensor(seeded_rng(1, "x").normal(size=(8, 32, 4, 4)), requires_grad=True)
+        votes_bytes = 8 * 8 * 8 * 16 * 64 * 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (8, 64, 4, 4)
+        assert held < votes_bytes // 2, held
 
 
 class TestHistogram:

@@ -330,6 +330,16 @@ class TestConv:
             tracemalloc.stop()
         assert held[1] - held[0] <= 64 << 10, held
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_transpose_output_owns_contiguous_memory(self, stride):
+        # _col2im crops a view of its padded buffer: the output copies the
+        # crop, so it holds no more than its own bytes
+        rng = seeded_rng(stride, "convt-own")
+        x = Tensor(rng.normal(size=(4, 8, 7, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 4, 3, 3)), requires_grad=True)
+        y = T.conv_transpose2d(x, w, stride, 1, stride - 1)
+        assert y.data.flags.c_contiguous and y.data.flags.owndata
+
     def test_out_size_formula(self):
         assert T.conv_out_size(28, 3, 2, 1) == 14
         assert T.conv_out_size(7, 3, 2, 1) == 4
