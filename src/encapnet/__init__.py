@@ -15,7 +15,6 @@ _EXPORTS = {
     "predict": "capsules",
     "CapFC": "capsules",
     "dynamic_routing": "routing",
-    "em_routing": "routing",
     "CapNetLayer": "routing",
     "routing_histogram": "routing",
     "CapConv": "capconv",

@@ -210,7 +210,7 @@ def cmd_param_count(args) -> int:
     print(f"family {rc.net.family}  depth {model.depth}  "
           f"parameters {total} ({total / 1e6:.3f} M)")
 
-    if rc.net.family in ("capnet_dynamic", "capnet_em"):
+    if rc.net.family == "capnet_dynamic":
         h = rc.net.stem_hw()
         n2 = rc.net.hidden_caps * h * h
         extent = mapping_kernel_extent(rc.net.hidden_dim, rc.net.caps_channels, n2)
@@ -235,22 +235,25 @@ def cmd_routing_hist(args) -> int:
     rc = parse_config_text(ck.config_text)
     model = build_network(rc.net, seed=rc.train.seed)
     if not isinstance(model, CapNet):
-        raise ConfigError("routing-hist needs a capnet_* checkpoint")
+        raise ConfigError(f"routing-hist needs a capnet_dynamic checkpoint, "
+                          f"not {rc.net.family}")
     restore_model(model, ck)
     dc = _apply_data_overrides(rc.data, args)
     _, _, test_x, test_y = load_dataset(dc)
     test_x, test_y = test_x[:args.limit], test_y[:args.limit]
 
     layer = model.class_layer if args.layer == "class" else model.hidden_layer
-    layer.keep_stats = True
     model.set_mode(False)
-    votes, outputs = [], []
+    cos, lengths = [], []
     for xb, _ in batches(test_x, test_y, args.batch, shuffle=False):
         with no_grad():
-            model(Tensor(xb))
-        votes.append(layer.last_votes)
-        outputs.append(layer.last_output)
-    hist = routing_histogram(np.concatenate(votes), np.concatenate(outputs))
+            h = model.stem(Tensor(xb))
+            if layer is model.class_layer:
+                h = model.hidden_layer(h)
+            c, n = layer.agreement(h)
+        cos.append(c)
+        lengths.append(n)
+    hist = routing_histogram(np.concatenate(cos), np.concatenate(lengths))
     write_histogram_csv(args.out, hist)
     mass = hist.polarized_mass
     print(f"wrote {args.out}; |cos| > 0.5 mass {mass:.2f}% "

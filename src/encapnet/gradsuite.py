@@ -56,11 +56,11 @@ def _case_capconv():
     return lambda: _sq_sum(block(x)), tensors
 
 
-def _routing_case(routing: str):
+def _case_dynamic_routing():
     layer = CapNetLayer(caps_in=2, dim_in=2, in_hw=(2, 2), caps_out=3,
-                        dim_out=3, out_hw=(1, 1), routing=routing, iters=3,
-                        rng=seeded_rng(31, routing))
-    rng = seeded_rng(11, routing)
+                        dim_out=3, out_hw=(1, 1), iters=3,
+                        rng=seeded_rng(31, "dynamic"))
+    rng = seeded_rng(11, "dynamic")
     x = Tensor(rng.normal(size=(2, 4, 2, 2)))
     tensors = [("x", x)] + list(layer.named_params())
     return lambda: _sq_sum(layer(x)), tensors
@@ -147,8 +147,7 @@ CASES = {
     "capfc": _case_capfc,
     "margin_loss": _case_margin,
     "capconv_bn_relu_squash": _case_capconv,
-    "dynamic_routing_r3": lambda: _routing_case("dynamic"),
-    "em_routing_r3": lambda: _routing_case("em"),
+    "dynamic_routing_r3": _case_dynamic_routing,
     "generator": _case_generator,
     "extractor": _case_extractor,
     "toy_net_total_loss": _case_toy_net,
@@ -156,7 +155,7 @@ CASES = {
 
 GROUPS = {
     "core": ("squash", "capfc", "margin_loss"),
-    "routing": ("dynamic_routing_r3", "em_routing_r3"),
+    "routing": ("dynamic_routing_r3",),
     "capconv": ("capconv_bn_relu_squash",),
     "feedback": ("generator", "extractor", "ot_loss_stop_gradient"),
     "net": ("toy_net_total_loss",),

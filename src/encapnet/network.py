@@ -6,7 +6,7 @@ list of feedback penalties (empty unless the family has feedback units and
 the caller asked for them).
 
   encapnet        stem -> capsule-conv modules (+ feedback units) -> capsule FC
-  capnet_*        stem -> routed capsule layer -> routed class layer
+  capnet_dynamic  stem -> routed capsule layer -> routed class layer
   vanilla_cnn     stem -> plain convs mirroring the module blob shapes -> FC
 
 Depth counts every conv / capsule-conv / FC stage once:
@@ -28,7 +28,7 @@ from .capconv import EncapModule
 from .routing import CapNetLayer
 from .sinkhorn import FeedbackUnit, OTConfig
 
-FAMILIES = ("encapnet", "capnet_dynamic", "capnet_em", "vanilla_cnn")
+FAMILIES = ("encapnet", "capnet_dynamic", "vanilla_cnn")
 OT_KINDS = ("main", "skip")
 
 
@@ -221,25 +221,25 @@ class EncapNet(Layer):
 
 
 class CapNet(Layer):
-    """Stem followed by two routed capsule layers; the second is the class layer."""
+    """Stem followed by two dynamically routed capsule layers; the second is
+    the class layer."""
 
     _children = ("stem", "hidden_layer", "class_layer")
 
     def __init__(self, cfg: NetworkConfig, seed: int = 0):
         super().__init__()
         self.cfg = cfg
-        routing = "dynamic" if cfg.family == "capnet_dynamic" else "em"
         self.stem = Stem(cfg.stem, cfg.in_channels, seed=seed)
         h = cfg.stem_hw()
         caps_in = cfg.caps_channels
         dim_in = cfg.stem.channels[-1] // caps_in
         self.hidden_layer = CapNetLayer(
             caps_in, dim_in, (h, h), cfg.hidden_caps, cfg.hidden_dim, (h, h),
-            routing, cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "hidden"))
+            cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "hidden"))
         self.class_layer = CapNetLayer(
             cfg.hidden_caps, cfg.hidden_dim, (h, h), cfg.n_classes,
             cfg.class_caps_dim, (1, 1),
-            routing, cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "class"))
+            cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "class"))
 
     @property
     def depth(self) -> int:
@@ -300,7 +300,7 @@ class VanillaCNN(Layer):
 def build_network(cfg: NetworkConfig, seed: int = 0) -> Layer:
     if cfg.family == "encapnet":
         return EncapNet(cfg, seed=seed)
-    if cfg.family in ("capnet_dynamic", "capnet_em"):
+    if cfg.family == "capnet_dynamic":
         return CapNet(cfg, seed=seed)
     if cfg.family == "vanilla_cnn":
         return VanillaCNN(cfg, seed=seed)

@@ -175,6 +175,9 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
 
     data is (train_x, train_y, test_x, test_y) with images (N, H, W).
     """
+    if tcfg.lam > 0 and not any(getattr(model, "feedback", ())):
+        raise ConfigError(f"lam = {tcfg.lam:g} weights the feedback penalty, but the "
+                          f"{model.cfg.family} model has no feedback unit; set lam = 0")
     train_x, train_y, test_x, test_y = data
     os.makedirs(out_dir, exist_ok=True)
     n_modules = len(getattr(model, "modules", ()))

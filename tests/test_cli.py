@@ -165,3 +165,11 @@ def test_routing_hist_rejects_encapnet(encap_ini, tmp_path, capsys):
     rc = main(["routing-hist", "--checkpoint", f"{out_dir}/final.encp",
                "--out", str(tmp_path / "h.csv")])
     assert rc != 0
+
+
+def test_train_rejects_lam_without_feedback_unit(capnet_ini, tmp_path, capsys):
+    out_dir = tmp_path / "caprun"
+    assert main(["train", "--config", capnet_ini, "--out-dir", str(out_dir),
+                 "--lam", "10", "--quiet"]) == 2
+    assert "capnet_dynamic model has no feedback unit" in capsys.readouterr().err
+    assert not out_dir.exists()

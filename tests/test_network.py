@@ -1,6 +1,7 @@
 """Network assembly, checkpoints, and the optimizer."""
 
 import itertools
+import os
 import struct
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from encapnet import tensor as T
 from encapnet.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from encapnet.configfile import load_config
 from encapnet.errors import ConfigError, DataFormatError
-from encapnet.network import (CapNet, EncapNet, ModuleSpec, NetworkConfig,
-                              StemSpec, VanillaCNN, build_network,
+from encapnet.network import (FAMILIES, CapNet, EncapNet, ModuleSpec,
+                              NetworkConfig, StemSpec, VanillaCNN, build_network,
                               parameter_table)
 from encapnet.optim import Adam
 from encapnet.sinkhorn import OTConfig
@@ -108,6 +110,15 @@ class TestAssembly:
         assert isinstance(net, CapNet) and net.depth == 3
         caps, ot_vals = net(Tensor(seeded_rng(0, "x").normal(size=(2, 1, 12, 12))))
         assert caps.shape == (2, 5, 4) and ot_vals == []
+
+    def test_every_family_built_by_a_shipped_config(self):
+        # every option has a caller: a family no config builds is dead code
+        configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+        built = set()
+        for name in os.listdir(configs):
+            rc = load_config(os.path.join(configs, name))
+            built.add(build_network(rc.net, seed=0).cfg.family)
+        assert built == set(FAMILIES)
 
     def test_vanilla_cnn_mirrors_blob_shapes(self):
         cfg = small_cfg()

@@ -6,16 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from encapnet import routing as routing_mod
 from encapnet import tensor as T
 from encapnet.capsules import SQUASH_EPS, squash
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
-                              dynamic_routing, em_routing, routing_histogram,
+                              dynamic_routing, routing_histogram, vote_agreement,
                               write_histogram_csv)
 from encapnet.tensor import Tensor, seeded_rng
-from routing_inputs import one_hot_routing
+from routing_inputs import explicit_agreement, one_hot_routing
 
 
 def random_votes(b=2, n1=6, n2=4, d2=5, seed=0):
@@ -43,8 +42,8 @@ def reference_routing(votes, iters):
 
 
 def reference_mapping(m, x):
-    """The grouped 1x1 conv and reshape -> transpose -> reshape gather that
-    CapsuleMapping's one matmul replaces."""
+    """The grouped 1x1 conv and reshape -> transpose -> reshape gather whose
+    votes CapsuleMapping's poses and transforms imply."""
     b, _, h, w = x.shape
     y = T.conv2d(x, m.weight, stride=1, padding=0, groups=m.caps_in)
     y = T.reshape(y, (b, m.caps_in, m.n_out, m.dim_out, h, w))
@@ -221,48 +220,6 @@ class TestRouteOnPoses:
             dynamic_routing(poses, transforms, 3)
 
 
-class TestEMRouting:
-    def test_coefficients_sum_over_clusters(self):
-        votes = random_votes(seed=1)
-        acts = Tensor(seeded_rng(2, "a").uniform(0.1, 0.9, size=votes.shape[:2]))
-        _, _, coeff = em_routing(votes, acts, iters=3)
-        np.testing.assert_allclose(coeff.data.sum(axis=2), 1.0, atol=1e-9)
-
-    def test_activations_in_unit_interval(self):
-        votes = random_votes(seed=4)
-        acts = Tensor(seeded_rng(5, "a").uniform(0, 1, size=votes.shape[:2]))
-        _, a_out, _ = em_routing(votes, acts, iters=3)
-        assert np.all(a_out.data > 0) and np.all(a_out.data < 1)
-
-    def test_identical_clusters_give_half_activation(self):
-        # identical votes for every cluster: description costs tie, the
-        # standardised cost is zero, sigmoid(0) = 0.5
-        rng = seeded_rng(0, "same")
-        col = rng.normal(size=(1, 6, 1, 3))
-        votes = Tensor(np.tile(col, (1, 1, 4, 1)))
-        acts = Tensor(np.full((1, 6), 0.7))
-        _, a_out, _ = em_routing(votes, acts, iters=2)
-        np.testing.assert_allclose(a_out.data, 0.5, atol=1e-9)
-
-    def test_zero_activations_degrade_to_uniform_mean(self):
-        votes = random_votes(seed=6)
-        acts = Tensor(np.zeros(votes.shape[:2]))
-        mu, _, _ = em_routing(votes, acts, iters=1)
-        np.testing.assert_allclose(mu.data, votes.data.mean(axis=1), atol=1e-6)
-        assert np.all(np.isfinite(mu.data))
-
-    def test_variance_floor_keeps_costs_finite(self):
-        votes = Tensor(np.zeros((1, 4, 2, 3)))
-        acts = Tensor(np.full((1, 4), 0.5))
-        mu, a_out, coeff = em_routing(votes, acts, iters=3)
-        for t in (mu, a_out, coeff):
-            assert np.all(np.isfinite(t.data))
-
-    def test_rejects_mismatched_activations(self):
-        with pytest.raises(ShapeError):
-            em_routing(random_votes(), Tensor(np.zeros((2, 7))), iters=2)
-
-
 class TestCapsuleMapping:
     def test_vote_extent(self):
         # the weight keeps a grouped 1x1 conv's layout: caps_in*n_out*dim_out
@@ -275,7 +232,8 @@ class TestCapsuleMapping:
         data = seeded_rng(4, "x").normal(size=(2, 12, 2, 2))
         probe = T.constant(seeded_rng(5, "p").normal(size=(2, 12, 5, 3)))
         out = []
-        for mapping in (m, lambda x: reference_mapping(m, x)):
+        for mapping in (lambda x: explicit_votes(m.poses(x), m.transforms()),
+                        lambda x: reference_mapping(m, x)):
             m.weight.zero_grad()
             x = Tensor(data, requires_grad=True)
             votes = mapping(x)
@@ -292,70 +250,21 @@ class TestCapsuleMapping:
         probe = seeded_rng(2, "p").normal(size=3)
         x[0, 0:3, 0, 0] = probe
         x[0, 0:3, 1, 1] = probe
-        votes = m(Tensor(x)).data  # (1, 2*2*2, 2, 4), n1 index = cap*H*W + y*W + x
+        # (1, 2*2*2, 2, 4), n1 index = cap*H*W + y*W + x
+        votes = explicit_votes(m.poses(Tensor(x)), m.transforms()).data
         np.testing.assert_allclose(votes[0, 0], votes[0, 3], atol=1e-14)
 
     def test_rejects_wrong_channels(self):
         m = CapsuleMapping(2, 3, 2, 4)
         with pytest.raises(ShapeError):
-            m(Tensor(np.zeros((1, 7, 2, 2))))
+            m.poses(Tensor(np.zeros((1, 7, 2, 2))))
 
 
 class TestCapNetLayer:
     def test_class_layer_shape(self):
-        layer = CapNetLayer(4, 8, (3, 3), 10, 16, (1, 1),
-                            routing="dynamic", rng=seeded_rng(0, "cl"))
+        layer = CapNetLayer(4, 8, (3, 3), 10, 16, (1, 1), rng=seeded_rng(0, "cl"))
         out = layer(Tensor(seeded_rng(1, "x").normal(size=(2, 32, 3, 3))))
         assert out.shape == (2, 160, 1, 1)
-
-    def test_em_variant_runs(self):
-        layer = CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1),
-                            routing="em", rng=seeded_rng(0, "em"))
-        out = layer(Tensor(seeded_rng(1, "x").normal(size=(2, 8, 2, 2))))
-        assert out.shape == (2, 12, 1, 1)
-        assert np.all(np.isfinite(out.data))
-
-    def test_keep_stats_records_votes_and_outputs(self):
-        layer = CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), rng=seeded_rng(0, "ks"))
-        layer.keep_stats = True
-        layer(Tensor(seeded_rng(1, "x").normal(size=(2, 8, 2, 2))))
-        assert layer.last_votes.shape == (2, 8, 3, 4)
-        assert layer.last_output.shape == (2, 3, 4)
-
-    def test_rejects_unknown_routing(self):
-        with pytest.raises(ConfigError):
-            CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), routing="magic")
-
-    @pytest.mark.parametrize("routing", ["dynamic", "em"])
-    def test_image_blocks_match_one_call(self, monkeypatch, routing):
-        # one image's votes are 2*(2*2)*3*4 doubles = 768 bytes, so a
-        # 1600-byte block maps the 5 images as 2 + 2 + 1. Dynamic routing
-        # takes the whole batch in one node and blocks only its keep_stats
-        # record, so its blocked run is checked against the grouped-conv
-        # votes routed op by op.
-        x = seeded_rng(1, "x").normal(size=(5, 8, 2, 2))
-
-        def run(block_bytes, reference):
-            monkeypatch.setattr(routing_mod, "VOTE_BLOCK_BYTES", block_bytes)
-            layer = CapNetLayer(2, 4, (2, 2), 3, 4, (1, 1), routing=routing,
-                                rng=seeded_rng(0, "blk"))
-            layer.keep_stats = True
-            xt = Tensor(x, requires_grad=True)
-            if reference:
-                votes = reference_mapping(layer.mapping, xt)
-                v = reference_routing(votes, layer.iters)[0]
-                out, record = T.reshape(v, (5, 12, 1, 1)), (votes.data, v.data)
-            else:
-                out = layer(xt)
-                record = (layer.last_votes, layer.last_output)
-            T.tsum(out * out).backward()
-            return (out.data, *record, xt.grad, layer.mapping.weight.grad)
-
-        whole = run(routing_mod.VOTE_BLOCK_BYTES, reference=routing == "dynamic")
-        blocked = run(1600, reference=False)
-        assert blocked[1].shape == (5, 8, 3, 4)
-        for w, b in zip(whole, blocked):
-            np.testing.assert_allclose(b, w, rtol=1e-12, atol=1e-15)
 
     def test_dynamic_layer_holds_no_votes(self):
         # routing_train's hidden layer: 8 images of 8x4 capsules on a 4x4 grid
@@ -376,19 +285,66 @@ class TestCapNetLayer:
         assert held < votes_bytes // 2, held
 
 
+# routing_train's two layers: 8x4 capsules on a 4x4 grid routed to 64x16,
+# and those 4x16 capsules on the 4x4 grid routed to the 10x16 class capsules
+ROUTING_TRAIN_LAYERS = {"hidden": ((8, 4, (4, 4), 4, 16, (4, 4)), 32),
+                        "class": ((4, 16, (4, 4), 10, 16, (1, 1)), 64)}
+
+
+class TestVoteAgreement:
+    @pytest.mark.parametrize("name", sorted(ROUTING_TRAIN_LAYERS))
+    def test_matches_explicit_votes(self, name):
+        shape, channels = ROUTING_TRAIN_LAYERS[name]
+        layer = CapNetLayer(*shape, rng=seeded_rng(0, name))
+        x = Tensor(seeded_rng(1, name).normal(size=(8, channels, 4, 4)))
+        cos, lengths = layer.agreement(x)
+        m = layer.mapping
+        votes = explicit_votes(m.poses(x), m.transforms()).data
+        cos_ref, lengths_ref = explicit_agreement(votes, layer.route(x).data)
+        assert cos.shape == lengths.shape == votes.shape[:3]
+        np.testing.assert_allclose(cos, cos_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lengths, lengths_ref, rtol=1e-12)
+
+    def test_holds_no_votes(self):
+        # the hidden layer's votes for 8 images take 8 MiB; the agreement
+        # (routing included) may peak at under half of that
+        shape, channels = ROUTING_TRAIN_LAYERS["hidden"]
+        layer = CapNetLayer(*shape, rng=seeded_rng(0, "mem"))
+        x = Tensor(seeded_rng(1, "x").normal(size=(8, channels, 4, 4)))
+        votes_bytes = 8 * 8 * 8 * 16 * 64 * 16
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                cos, _ = layer.agreement(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cos.shape == (8, 128, 64)
+        assert peak < votes_bytes // 2, peak
+
+    def test_zero_pose_gives_zero_cosine_and_length(self):
+        rng = seeded_rng(0, "zero")
+        poses = rng.normal(size=(2, 3, 4, 5))
+        poses[1, 2, 3] = 0.0
+        transforms, v = rng.normal(size=(3, 5, 6, 7)), rng.normal(size=(2, 6, 7))
+        cos, lengths = vote_agreement(poses, transforms, v)
+        assert np.all(cos[1, 11] == 0.0) and np.all(lengths[1, 11] == 0.0)
+        assert np.all(np.abs(cos) <= 1.0)
+
+
 class TestHistogram:
     def test_percent_sums_to_hundred(self):
         rng = seeded_rng(0, "h")
         votes = rng.normal(size=(8, 12, 5, 4))
         v = rng.normal(size=(8, 5, 4))
-        hist = routing_histogram(votes, v)
+        hist = routing_histogram(*explicit_agreement(votes, v))
         assert hist.percent.sum() == pytest.approx(100.0, abs=1e-9)
         assert len(hist.percent) == 20 and len(hist.edges) == 21
 
     def test_aligned_votes_land_in_top_bin(self):
         v = np.tile(np.array([1.0, 0.0]), (1, 1, 1))       # (1, 1, 2)
         votes = np.tile(np.array([2.0, 0.0]), (1, 1, 1, 1))
-        hist = routing_histogram(votes, v)
+        hist = routing_histogram(*explicit_agreement(votes, v))
         assert hist.percent[-1] == pytest.approx(100.0)
         assert hist.mean_length[-1] == pytest.approx(2.0)
         assert hist.polarized_mass == pytest.approx(100.0)
@@ -396,13 +352,13 @@ class TestHistogram:
     def test_polarized_mass_counts_both_tails(self):
         v = np.array([[[1.0, 0.0]]])
         votes = np.array([[[[3.0, 0.0]], [[-2.0, 0.0]], [[0.0, 1.0]]]])  # (1,3,1,2)
-        hist = routing_histogram(votes, v)
+        hist = routing_histogram(*explicit_agreement(votes, v))
         assert hist.polarized_mass == pytest.approx(100.0 * 2 / 3)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = seeded_rng(1, "h")
-        hist = routing_histogram(rng.normal(size=(4, 6, 3, 5)),
-                                 rng.normal(size=(4, 3, 5)))
+        hist = routing_histogram(*explicit_agreement(rng.normal(size=(4, 6, 3, 5)),
+                                                     rng.normal(size=(4, 3, 5))))
         path = tmp_path / "hist.csv"
         write_histogram_csv(str(path), hist)
         with open(path, newline="") as fh:

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train_model(net, data, tcfg, out_dir=str(tmp_path))
         assert open(res.final_checkpoint, "rb").read() == good
+
+    @pytest.mark.parametrize("family,modules", [
+        ("capnet_dynamic", None), ("vanilla_cnn", None),
+        ("encapnet", (ModuleSpec(2, 4, stride=2, n_type2=0),))])
+    def test_lam_without_feedback_unit_rejected(self, tmp_path, family, modules):
+        # lam > 0 would weight a penalty the model never computes
+        net, data, tcfg = tiny_setup(lam=1.0)
+        cfg = replace(net.cfg, family=family, modules=modules or net.cfg.modules)
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=f"lam = 1 .*{family} model"):
+            train_model(build_network(cfg, seed=0), data, tcfg, out_dir=str(out))
+        assert not out.exists()
 
     def test_early_stop(self, tmp_path):
         net, data, tcfg = tiny_setup(lam=0.0, max_epochs=50,
