@@ -16,6 +16,7 @@ _EXPORTS = {
     "CapFC": "capsules",
     "dynamic_routing": "routing",
     "CapNetLayer": "routing",
+    "histogram_sums": "routing",
     "routing_histogram": "routing",
     "CapConv": "capconv",
     "CapConvSpec": "capconv",

@@ -135,7 +135,7 @@ class CapConv(Layer):
             s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
                  + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
             s = T.reshape(s, (b, c * d2, h, w))
-        out = T.relu(self.bn(s))
+        out = self.bn(s)
         return grid_squash(out, c, d2)
 
 

@@ -221,14 +221,12 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_routing_hist(args) -> int:
-    import numpy as np
-
     from .checkpoint import load_checkpoint, restore_model
     from .configfile import parse_config_text
     from .data import batches, load_dataset
     from .errors import ConfigError
     from .network import CapNet, build_network
-    from .routing import routing_histogram, write_histogram_csv
+    from .routing import histogram_sums, routing_histogram, write_histogram_csv
     from .tensor import Tensor, no_grad
 
     ck = load_checkpoint(args.checkpoint)
@@ -244,19 +242,16 @@ def cmd_routing_hist(args) -> int:
 
     layer = model.class_layer if args.layer == "class" else model.hidden_layer
     model.set_mode(False)
-    cos, lengths = [], []
+    sums = 0
     for xb, _ in batches(test_x, test_y, args.batch, shuffle=False):
         with no_grad():
             h = model.stem(Tensor(xb))
             if layer is model.class_layer:
                 h = model.hidden_layer(h)
-            c, n = layer.agreement(h)
-        cos.append(c)
-        lengths.append(n)
-    hist = routing_histogram(np.concatenate(cos), np.concatenate(lengths))
+            sums += histogram_sums(*layer.agreement(h))
+    hist = routing_histogram(sums)
     write_histogram_csv(args.out, hist)
-    mass = hist.polarized_mass
-    print(f"wrote {args.out}; |cos| > 0.5 mass {mass:.2f}% "
+    print(f"wrote {args.out}; |cos| > 0.5 mass {hist.polarized_mass:.2f}% "
           f"over {test_x.shape[0]} examples")
     return 0
 

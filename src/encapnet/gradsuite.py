@@ -57,9 +57,8 @@ def _case_capconv():
 
 
 def _case_dynamic_routing():
-    layer = CapNetLayer(caps_in=2, dim_in=2, in_hw=(2, 2), caps_out=3,
-                        dim_out=3, out_hw=(1, 1), iters=3,
-                        rng=seeded_rng(31, "dynamic"))
+    layer = CapNetLayer(caps_in=2, dim_in=2, caps_out=3, dim_out=3, out_hw=(1, 1),
+                        iters=3, rng=seeded_rng(31, "dynamic"))
     rng = seeded_rng(11, "dynamic")
     x = Tensor(rng.normal(size=(2, 4, 2, 2)))
     tensors = [("x", x)] + list(layer.named_params())

@@ -1,4 +1,4 @@
-"""Parameterised building blocks: conv layers and batch norm.
+"""Parameterised building blocks: conv layers, batch norm + ReLU, linear.
 
 A Layer owns named parameter Tensors and non-trainable numpy buffers, and
 exposes them with dotted prefixes so optimisers and checkpoints see one flat
@@ -88,7 +88,8 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch norm over (B,H,W); eps 1e-5, running-stat momentum 0.1."""
+    """Per-channel batch norm over (B,H,W) that ends in ReLU, one batch_norm_relu
+    node (every conv stage here is conv -> BN -> ReLU); eps 1e-5, momentum 0.1."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -99,15 +100,9 @@ class BatchNorm2d(Layer):
         self.add_buffer("running_var", np.ones(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.training:
-            return T.batch_norm(x, self.gamma, self.beta, self.eps,
-                                self._buffers["running_mean"],
-                                self._buffers["running_var"], self.momentum)
-        shape = (1, x.shape[1], 1, 1)
-        mu = T.constant(self._buffers["running_mean"].reshape(shape))
-        var = T.constant(self._buffers["running_var"].reshape(shape))
-        xhat = (x - mu) / T.sqrt(var + self.eps)
-        return xhat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        return T.batch_norm_relu(x, self.gamma, self.beta, self._buffers["running_mean"],
+                                 self._buffers["running_var"], self.training,
+                                 self.eps, self.momentum)
 
 
 class Linear(Layer):

@@ -157,7 +157,7 @@ class Stem(Layer):
 
     def __call__(self, x: Tensor) -> Tensor:
         for conv, bn in zip(self.convs, self.bns):
-            x = T.relu(bn(conv(x)))
+            x = bn(conv(x))
         return x
 
 
@@ -234,11 +234,10 @@ class CapNet(Layer):
         caps_in = cfg.caps_channels
         dim_in = cfg.stem.channels[-1] // caps_in
         self.hidden_layer = CapNetLayer(
-            caps_in, dim_in, (h, h), cfg.hidden_caps, cfg.hidden_dim, (h, h),
+            caps_in, dim_in, cfg.hidden_caps, cfg.hidden_dim, (h, h),
             cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "hidden"))
         self.class_layer = CapNetLayer(
-            cfg.hidden_caps, cfg.hidden_dim, (h, h), cfg.n_classes,
-            cfg.class_caps_dim, (1, 1),
+            cfg.hidden_caps, cfg.hidden_dim, cfg.n_classes, cfg.class_caps_dim, (1, 1),
             cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "class"))
 
     @property
@@ -290,7 +289,7 @@ class VanillaCNN(Layer):
     def __call__(self, x: Tensor, with_feedback: bool = False):
         h = self.stem(x)
         for conv, bn in zip(self.convs, self.bns):
-            h = T.relu(bn(conv(h)))
+            h = bn(conv(h))
         pooled = T.tmean(h, axis=(2, 3))
         logits = self.fc(pooled)
         caps = logits.reshape((logits.shape[0], self.cfg.n_classes, 1))

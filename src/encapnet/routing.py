@@ -73,15 +73,12 @@ class CapNetLayer(Layer):
 
     _children = ("mapping",)
 
-    def __init__(self, caps_in: int, dim_in: int, in_hw, caps_out: int, dim_out: int,
+    def __init__(self, caps_in: int, dim_in: int, caps_out: int, dim_out: int,
                  out_hw, iters: int = 3, rng: np.random.Generator | None = None):
         super().__init__()
-        self.caps_in, self.dim_in = caps_in, dim_in
-        self.caps_out, self.dim_out = caps_out, dim_out
-        self.in_hw, self.out_hw = tuple(in_hw), tuple(out_hw)
-        self.iters = iters
-        self.n2 = caps_out * self.out_hw[0] * self.out_hw[1]
-        self.mapping = CapsuleMapping(caps_in, dim_in, self.n2, dim_out, rng)
+        self.caps_out, self.dim_out, self.out_hw, self.iters = caps_out, dim_out, out_hw, iters
+        n2 = caps_out * out_hw[0] * out_hw[1]
+        self.mapping = CapsuleMapping(caps_in, dim_in, n2, dim_out, rng)
 
     def route(self, x: Tensor) -> Tensor:
         """The routed higher capsules v (B, n2, dim_out)."""
@@ -134,18 +131,22 @@ class RoutingHistogram:
         return float(self.percent[mask].sum())
 
 
-def routing_histogram(cos: np.ndarray, lengths: np.ndarray, bins: int = 20) -> RoutingHistogram:
-    """Distribution of cos(vote_ij, v_j) over all (sample, i, j) triples, with
-    the mean vote length |vote_ij| per bin (vote_agreement gives both)."""
-    cos = np.asarray(cos, dtype=np.float64).reshape(-1)
-    lengths = np.asarray(lengths, dtype=np.float64).reshape(-1)
+def histogram_sums(cos: np.ndarray, lengths: np.ndarray, bins: int = 20) -> np.ndarray:
+    """(2, bins): count and summed |vote_ij| per bin of cos(vote_ij, v_j) over
+    one batch's (sample, i, j) triples (vote_agreement gives both); batches'
+    sums add up to their concatenation's, so a pass holds one batch."""
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    idx = np.clip(np.searchsorted(edges, cos, side="right") - 1, 0, bins - 1)
-    count = np.bincount(idx, minlength=bins).astype(np.float64)
-    lsum = np.bincount(idx, weights=lengths, minlength=bins)
-    percent = 100.0 * count / cos.size
-    mean_length = np.divide(lsum, count, out=np.zeros(bins), where=count > 0)
-    return RoutingHistogram(edges=edges, percent=percent, mean_length=mean_length)
+    idx = np.clip(np.searchsorted(edges, cos.reshape(-1), side="right") - 1, 0, bins - 1)
+    return np.stack([np.bincount(idx, minlength=bins).astype(np.float64),
+                     np.bincount(idx, weights=lengths.reshape(-1), minlength=bins)])
+
+
+def routing_histogram(sums: np.ndarray) -> RoutingHistogram:
+    """Percent of triples and mean |vote_ij| per bin from summed histogram_sums."""
+    count, lsum = sums
+    mean_length = np.divide(lsum, count, out=np.zeros(count.size), where=count > 0)
+    return RoutingHistogram(edges=np.linspace(-1.0, 1.0, count.size + 1),
+                            percent=100.0 * count / count.sum(), mean_length=mean_length)
 
 
 def write_histogram_csv(path: str, hist: RoutingHistogram) -> None:

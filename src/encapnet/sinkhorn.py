@@ -184,7 +184,7 @@ class Generator(Layer):
             raise ConfigError(
                 f"generator stride {self.stride} cannot map {(h, w)} onto {(th, tw)}")
         y = T.conv_transpose2d(v, self.weight, self.stride, 1, opad_h, self.groups)
-        y = T.relu(self.bn(y))
+        y = self.bn(y)
         return grid_squash(y, self.caps_out, self.dim_out)
 
 
@@ -204,8 +204,8 @@ class Extractor(Layer):
         self.bn2 = BatchNorm2d(1)
 
     def __call__(self, u: Tensor) -> Tensor:
-        y = T.relu(self.bn1(self.conv1(u)))
-        y = T.relu(self.bn2(self.conv2(y)))
+        y = self.bn1(self.conv1(u))
+        y = self.bn2(self.conv2(y))
         return T.reshape(y, (y.shape[0], -1))
 
 

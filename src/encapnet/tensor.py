@@ -521,46 +521,56 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
 
 # -- normalisation ---------------------------------------------------------------
 
-def batch_norm(x, gamma, beta, eps: float = 1e-5, running_mean=None,
-               running_var=None, momentum: float = 0.1) -> Tensor:
-    """Training-mode batch norm of (B,C,H,W) over (B,H,W), as one node.
-
-    y = (x - mean) / sqrt(var + eps) * gamma + beta with the biased batch
-    variance. Given running_mean / running_var arrays, updates them in place,
-    r <- (1 - momentum) r + momentum * stat, with the unbiased variance.
-    The backward rule is the closed form
-    dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)).
-    """
+def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
+                    eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+    """relu(xhat * gamma + beta), xhat = (x - mean) / sqrt(var + eps) per channel
+    of (B,C,H,W), as one node. Training takes the biased batch statistics over
+    (B,H,W) and updates the running ones in place, r <- (1 - momentum) r +
+    momentum * stat, with the unbiased variance; eval folds the running ones
+    into out = x * scale + shift. Backward masks g by out > 0, then takes the
+    closed form dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)) in
+    training and dx = g * scale in eval."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
-        raise ShapeError(f"batch_norm expects a 4-D input, got {x.data.shape}")
-    c = x.data.shape[1]
-    n = x.data.size // c
-    axes, shape = (0, 2, 3), (1, c, 1, 1)
-    mean = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
-    centered = x.data - mean
-    var = (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / n)
-    std = np.sqrt(var + eps)
-    xhat = centered / std
-    out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
-    if running_mean is not None:
-        running_mean *= 1 - momentum
-        running_mean += momentum * mean.reshape(c)
-    if running_var is not None:
-        running_var *= 1 - momentum
-        running_var += momentum * (var.reshape(c) * (n / max(n - 1, 1)))
+        raise ShapeError(f"batch_norm_relu expects a 4-D input, got {x.data.shape}")
+    b, c, h, w = x.data.shape
+    n = b * h * w
+    x3 = x.data.reshape(b, c, h * w)
+    if training:
+        mean = x3.sum(axis=(0, 2)) * (1.0 / n)
+        xhat = x3 - mean[:, None]
+        out = xhat * xhat
+        var = out.sum(axis=(0, 2)) * (1.0 / n)
+        std = np.sqrt(var + eps)
+        xhat /= std[:, None]
+        np.multiply(xhat, gamma.data[:, None], out=out)
+        out += beta.data[:, None]
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mean
+        running_var[...] = (1 - momentum) * running_var + momentum * (var * (n / max(n - 1, 1)))
+    else:
+        mean = running_mean.copy()
+        std = np.sqrt(running_var + eps)
+        scale = gamma.data / std
+        out = x3 * scale[:, None]
+        out += (beta.data - mean * scale)[:, None]
+    np.maximum(out, 0, out=out)
 
     def back(g):
-        gsum = g.sum(axis=axes)
-        gxsum = (g * xhat).sum(axis=axes)
+        gm = g.reshape(out.shape) * (out > 0)
+        gsum = gm.sum(axis=(0, 2))
+        xh = xhat if training else (x3 - mean[:, None]) / std[:, None]
+        t = gm * xh
+        gxsum = t.sum(axis=(0, 2))
         beta._accumulate(gsum)
         gamma._accumulate(gxsum)
         if x.requires_grad:
-            scale = gamma.data.reshape(shape) / std
-            x._accumulate(scale * (g - (gsum / n).reshape(shape)
-                                   - xhat * (gxsum / n).reshape(shape)))
+            if training:
+                gm -= (gsum / n)[:, None]
+                gm -= np.multiply(xhat, (gxsum / n)[:, None], out=t)
+            gm *= (gamma.data / std)[:, None]
+            x._accumulate(gm.reshape(b, c, h, w))
 
-    return _make(out, (x, gamma, beta), back, "batch_norm")
+    return _make(out.reshape(b, c, h, w), (x, gamma, beta), back, "batch_norm_relu")
 
 
 # -- capsule kernels ------------------------------------------------------------

@@ -26,7 +26,7 @@ from encapnet.configfile import load_config, parse_config_text
 from encapnet.data import load_dataset
 from encapnet.gradsuite import GROUPS, run_suite
 from encapnet.network import build_network
-from encapnet.routing import (dynamic_routing, routing_histogram,
+from encapnet.routing import (dynamic_routing, histogram_sums, routing_histogram,
                               write_histogram_csv)
 from encapnet.sinkhorn import (OTConfig, brute_force_ot, cost_matrix,
                                sinkhorn_divergence, sinkhorn_plan)
@@ -255,14 +255,12 @@ def test_synthetic_training_smoke(tmp_path):
 def polarization_snapshot(model, images, batch=64, limit=128):
     """Class-layer |cos| histogram over the first `limit` eval images."""
     model.set_mode(False)
-    cos, lengths = [], []
+    sums = 0
     for s in range(0, min(limit, len(images)), batch):
         xb = images[s:s + batch][:, None, :, :].astype(np.float64)
         h = model.stem(Tensor(np.ascontiguousarray(xb), requires_grad=False))
-        c, n = model.class_layer.agreement(model.hidden_layer(h))
-        cos.append(c)
-        lengths.append(n)
-    return routing_histogram(np.concatenate(cos), np.concatenate(lengths))
+        sums += histogram_sums(*model.class_layer.agreement(model.hidden_layer(h)))
+    return routing_histogram(sums)
 
 
 def polarization_run(rc, data, out_root):

@@ -1,5 +1,7 @@
 """End-to-end command line flows on tiny synthetic configs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,32 @@ def test_routing_hist(capnet_ini, tmp_path, capsys):
     assert len(rows) == 21
     total = sum(float(r[2]) for r in rows[1:])
     assert total == pytest.approx(100.0, abs=1e-6)
+
+
+def test_routing_hist_memory_does_not_grow_with_limit(tmp_path, capsys):
+    # an untrained capnet checkpoint over 320 synthetic test images; the
+    # hidden layer's (B, n1, n2) cosines and lengths are 0.66 MB a batch, so
+    # holding every batch's until the end would double the peak from 160 to 320
+    from encapnet.checkpoint import save_checkpoint
+    from encapnet.configfile import parse_config_text
+    from encapnet.network import build_network
+
+    ini = CAPNET_INI.replace("n_test = 12", "n_test = 320")
+    rc = parse_config_text(ini)
+    ckpt = str(tmp_path / "capnet.encp")
+    save_checkpoint(ckpt, build_network(rc.net, seed=rc.train.seed), config_text=ini)
+    peaks = {}
+    for limit in (160, 320):
+        tracemalloc.start()
+        try:
+            assert main(["routing-hist", "--checkpoint", ckpt, "--layer", "hidden",
+                         "--batch", "8", "--limit", str(limit),
+                         "--out", str(tmp_path / f"h{limit}.csv")]) == 0
+            peaks[limit] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"over {limit} examples" in capsys.readouterr().out
+    assert peaks[320] < 1.1 * peaks[160], peaks
 
 
 def test_routing_hist_rejects_encapnet(encap_ini, tmp_path, capsys):

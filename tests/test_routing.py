@@ -11,8 +11,8 @@ from encapnet.capsules import SQUASH_EPS, squash
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
-                              dynamic_routing, routing_histogram, vote_agreement,
-                              write_histogram_csv)
+                              dynamic_routing, histogram_sums, routing_histogram,
+                              vote_agreement, write_histogram_csv)
 from encapnet.tensor import Tensor, seeded_rng
 from routing_inputs import explicit_agreement, one_hot_routing
 
@@ -262,7 +262,7 @@ class TestCapsuleMapping:
 
 class TestCapNetLayer:
     def test_class_layer_shape(self):
-        layer = CapNetLayer(4, 8, (3, 3), 10, 16, (1, 1), rng=seeded_rng(0, "cl"))
+        layer = CapNetLayer(4, 8, 10, 16, (1, 1), rng=seeded_rng(0, "cl"))
         out = layer(Tensor(seeded_rng(1, "x").normal(size=(2, 32, 3, 3))))
         assert out.shape == (2, 160, 1, 1)
 
@@ -271,7 +271,7 @@ class TestCapNetLayer:
         # routed to 64x16, whose votes would take 8 MiB. numpy reports its
         # buffers to tracemalloc; after the training forward the layer's tape
         # must hold less than half of that.
-        layer = CapNetLayer(8, 4, (4, 4), 4, 16, (4, 4), rng=seeded_rng(0, "mem"))
+        layer = CapNetLayer(8, 4, 4, 16, (4, 4), rng=seeded_rng(0, "mem"))
         x = Tensor(seeded_rng(1, "x").normal(size=(8, 32, 4, 4)), requires_grad=True)
         votes_bytes = 8 * 8 * 8 * 16 * 64 * 16
         tracemalloc.start()
@@ -287,8 +287,8 @@ class TestCapNetLayer:
 
 # routing_train's two layers: 8x4 capsules on a 4x4 grid routed to 64x16,
 # and those 4x16 capsules on the 4x4 grid routed to the 10x16 class capsules
-ROUTING_TRAIN_LAYERS = {"hidden": ((8, 4, (4, 4), 4, 16, (4, 4)), 32),
-                        "class": ((4, 16, (4, 4), 10, 16, (1, 1)), 64)}
+ROUTING_TRAIN_LAYERS = {"hidden": ((8, 4, 4, 16, (4, 4)), 32),
+                        "class": ((4, 16, 10, 16, (1, 1)), 64)}
 
 
 class TestVoteAgreement:
@@ -337,14 +337,14 @@ class TestHistogram:
         rng = seeded_rng(0, "h")
         votes = rng.normal(size=(8, 12, 5, 4))
         v = rng.normal(size=(8, 5, 4))
-        hist = routing_histogram(*explicit_agreement(votes, v))
+        hist = routing_histogram(histogram_sums(*explicit_agreement(votes, v)))
         assert hist.percent.sum() == pytest.approx(100.0, abs=1e-9)
         assert len(hist.percent) == 20 and len(hist.edges) == 21
 
     def test_aligned_votes_land_in_top_bin(self):
         v = np.tile(np.array([1.0, 0.0]), (1, 1, 1))       # (1, 1, 2)
         votes = np.tile(np.array([2.0, 0.0]), (1, 1, 1, 1))
-        hist = routing_histogram(*explicit_agreement(votes, v))
+        hist = routing_histogram(histogram_sums(*explicit_agreement(votes, v)))
         assert hist.percent[-1] == pytest.approx(100.0)
         assert hist.mean_length[-1] == pytest.approx(2.0)
         assert hist.polarized_mass == pytest.approx(100.0)
@@ -352,13 +352,32 @@ class TestHistogram:
     def test_polarized_mass_counts_both_tails(self):
         v = np.array([[[1.0, 0.0]]])
         votes = np.array([[[[3.0, 0.0]], [[-2.0, 0.0]], [[0.0, 1.0]]]])  # (1,3,1,2)
-        hist = routing_histogram(*explicit_agreement(votes, v))
+        hist = routing_histogram(histogram_sums(*explicit_agreement(votes, v)))
         assert hist.polarized_mass == pytest.approx(100.0 * 2 / 3)
+
+    def test_batch_sums_match_the_concatenation(self):
+        # the one-pass histogram the bin sums replaced: bin every batch's
+        # cosines and lengths at once, after concatenating them
+        rng = seeded_rng(2, "h")
+        parts = [explicit_agreement(rng.normal(size=(b, 12, 5, 4)), rng.normal(size=(b, 5, 4)))
+                 for b in (3, 8, 1, 5)]
+        cos = np.concatenate([c for c, _ in parts]).reshape(-1)
+        lengths = np.concatenate([n for _, n in parts]).reshape(-1)
+        edges = np.linspace(-1.0, 1.0, 21)
+        idx = np.clip(np.searchsorted(edges, cos, side="right") - 1, 0, 19)
+        count = np.bincount(idx, minlength=20).astype(np.float64)
+        lsum = np.bincount(idx, weights=lengths, minlength=20)
+        hist = routing_histogram(sum(histogram_sums(c, n) for c, n in parts))
+        np.testing.assert_array_equal(hist.edges, edges)
+        np.testing.assert_array_equal(hist.percent, 100.0 * count / cos.size)
+        np.testing.assert_allclose(hist.mean_length[count > 0], (lsum / count)[count > 0],
+                                   rtol=1e-12, atol=0)
+        assert np.all(hist.mean_length[count == 0] == 0.0)
 
     def test_csv_roundtrip(self, tmp_path):
         rng = seeded_rng(1, "h")
-        hist = routing_histogram(*explicit_agreement(rng.normal(size=(4, 6, 3, 5)),
-                                                     rng.normal(size=(4, 3, 5))))
+        hist = routing_histogram(histogram_sums(*explicit_agreement(
+            rng.normal(size=(4, 6, 3, 5)), rng.normal(size=(4, 3, 5)))))
         path = tmp_path / "hist.csv"
         write_histogram_csv(str(path), hist)
         with open(path, newline="") as fh:

@@ -357,6 +357,15 @@ def batch_norm_composite(x, gamma, beta, eps):
     return xhat * gamma.reshape(shape) + beta.reshape(shape), mu.data, var.data
 
 
+def batch_norm_eval_ops(x, gamma, beta, running_mean, running_var, eps):
+    """The four-op formula BatchNorm2d's eval path used before T.batch_norm_relu."""
+    shape = (1, x.shape[1], 1, 1)
+    mu = T.constant(running_mean.reshape(shape))
+    var = T.constant(running_var.reshape(shape))
+    xhat = (x - mu) / T.sqrt(var + eps)
+    return xhat * gamma.reshape(shape) + beta.reshape(shape)
+
+
 class TestBatchNorm:
     def _inputs(self, tag, shape=(3, 4, 5, 6)):
         rng = seeded_rng(0, "bn", tag)
@@ -365,50 +374,88 @@ class TestBatchNorm:
         beta = Tensor(rng.normal(size=shape[1]), requires_grad=True)
         return x, gamma, beta, rng
 
+    def _running(self, rng, c):
+        return rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+
     def test_gradcheck(self):
         x, gamma, beta, rng = self._inputs("grad")
         probe = rng.normal(size=x.shape)
-        errs = check_grads(
-            lambda: T.tsum(T.batch_norm(x, gamma, beta) * T.constant(probe)),
-            [x, gamma, beta])
-        assert max(errs) < 1e-6
+        rm, rv = self._running(rng, x.shape[1])
+        for training in (True, False):
+            errs = check_grads(
+                lambda: T.tsum(T.batch_norm_relu(x, gamma, beta, rm, rv, training)
+                               * T.constant(probe)),
+                [x, gamma, beta])
+            assert max(errs) < 1e-6, training
 
     def test_unit_gamma_zero_beta_standardizes_each_channel(self):
+        # relu(a) - relu(-a) = a, and the node maps -x to exactly -xhat
         x, _, _, _ = self._inputs("invariant")
         c = x.shape[1]
-        y = T.batch_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)), eps=0.0).data
+
+        def bn(t):
+            return T.batch_norm_relu(t, Tensor(np.ones(c)), Tensor(np.zeros(c)),
+                                     np.zeros(c), np.ones(c), True, eps=0.0).data
+
+        y = bn(x) - bn(-x)
         np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-12)
 
     def test_matches_composite_formula(self):
+        # training against relu of the per-op formula, eval against relu of
+        # the four-op running-statistics formula; running statistics included
         x, gamma, beta, rng = self._inputs("composite")
         probe = rng.normal(size=x.shape)
         c = x.shape[1]
         n = x.data.size // c
-        results = []
-        for fused in (True, False):
-            for t in (x, gamma, beta):
-                t.zero_grad()
-            rm, rv = np.zeros(c), np.ones(c)
-            if fused:
-                y = T.batch_norm(x, gamma, beta, 1e-5, rm, rv, 0.1)
-            else:
-                y, mu, var = batch_norm_composite(x, gamma, beta, 1e-5)
-                rm = 0.1 * mu.reshape(c)
-                rv = 0.9 + 0.1 * (var.reshape(c) * (n / (n - 1)))
-            T.tsum(y * T.constant(probe)).backward()
-            results.append([y.data, x.grad, gamma.grad, beta.grad, rm, rv])
-        for got, want in zip(*results):
-            scale = max(np.abs(want).max(), 1.0)
-            assert np.abs(got - want).max() / scale < 1e-12
+        rm0, rv0 = self._running(rng, c)
+        for training in (True, False):
+            results = []
+            for fused in (True, False):
+                for t in (x, gamma, beta):
+                    t.zero_grad()
+                rm, rv = rm0.copy(), rv0.copy()
+                if fused:
+                    y = T.batch_norm_relu(x, gamma, beta, rm, rv, training, 1e-5, 0.1)
+                elif training:
+                    y, mu, var = batch_norm_composite(x, gamma, beta, 1e-5)
+                    y = T.relu(y)
+                    rm = 0.9 * rm0 + 0.1 * mu.reshape(c)
+                    rv = 0.9 * rv0 + 0.1 * (var.reshape(c) * (n / (n - 1)))
+                else:
+                    y = T.relu(batch_norm_eval_ops(x, gamma, beta, rm, rv, 1e-5))
+                T.tsum(y * T.constant(probe)).backward()
+                results.append([y.data, x.grad, gamma.grad, beta.grad, rm, rv])
+            assert np.any(results[0][0] == 0.0) and np.any(results[0][0] > 0.0)
+            for got, want in zip(*results):
+                scale = max(np.abs(want).max(), 1.0)
+                assert np.abs(got - want).max() / scale < 1e-12, training
+
+    def test_eval_image_alone_matches_it_in_a_batch(self):
+        x, gamma, beta, rng = self._inputs("alone", shape=(5, 4, 3, 3))
+        rm, rv = self._running(rng, 4)
+        batch = T.batch_norm_relu(x, gamma, beta, rm, rv, False).data
+        for i in range(x.shape[0]):
+            alone = T.batch_norm_relu(Tensor(x.data[i:i + 1]), gamma, beta, rm, rv, False)
+            np.testing.assert_array_equal(alone.data[0], batch[i])
 
     def test_layer_training_path_is_one_node(self):
         from encapnet.layers import BatchNorm2d
         bn = BatchNorm2d(4)
         x, _, _, _ = self._inputs("layer")
         y = bn(x)
-        assert y.op == "batch_norm" and len(y._parents) == 3
+        assert y.op == "batch_norm_relu" and len(y._parents) == 3
         assert not np.array_equal(bn._buffers["running_mean"], np.zeros(4))
+
+    def test_layer_eval_path_is_one_node(self):
+        from encapnet.layers import BatchNorm2d
+        bn = BatchNorm2d(4)
+        bn.set_mode(False)
+        x, _, _, _ = self._inputs("layer")
+        y = bn(x)
+        assert y.op == "batch_norm_relu" and len(y._parents) == 3
+        np.testing.assert_array_equal(bn._buffers["running_mean"], np.zeros(4))
+        np.testing.assert_array_equal(bn._buffers["running_var"], np.ones(4))
 
 
 class TestNoGrad:
@@ -416,9 +463,10 @@ class TestNoGrad:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with T.no_grad():
             y = T.tsum(T.relu(x * 2.0) + x)
-            z = T.batch_norm(Tensor(np.ones((2, 3, 2, 2)), requires_grad=True),
-                             x.data[0], x.data[1])
-        for node in (y, z):
+            z = [T.batch_norm_relu(Tensor(np.ones((2, 3, 2, 2)), requires_grad=True),
+                                   x.data[0], x.data[1], np.zeros(3), np.ones(3), training)
+                 for training in (True, False)]
+        for node in [y] + z:
             assert node._parents == () and node._backward is None
             assert not node.requires_grad
         assert y.item() == float((np.maximum(x.data * 2.0, 0) + x.data).sum())
@@ -457,8 +505,8 @@ class TestNoGrad:
         w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
 
         def build():
-            y = T.relu(T.batch_norm(T.conv2d(x, w, 1, 1, 2), Tensor(np.ones(4)),
-                                    Tensor(np.zeros(4))))
+            y = T.batch_norm_relu(T.conv2d(x, w, 1, 1, 2), Tensor(np.ones(4)),
+                                  Tensor(np.zeros(4)), np.zeros(4), np.ones(4), True)
             return T.tsum(y * y)
 
         with_it = check_grads(build, [x, w])
@@ -567,8 +615,9 @@ class TestBackward:
         def through_reshape():
             return T.tsum(T.reshape(x, (3, 4)) * c1)
 
-        def through_bn():  # relu and batch_norm hand fresh gradients down
-            return T.tsum(T.relu(T.batch_norm(T.reshape(x, (2, 3, 1, 2)), gamma, beta)) * c4)
+        def through_bn():  # batch_norm_relu hands a fresh gradient down
+            return T.tsum(T.batch_norm_relu(T.reshape(x, (2, 3, 1, 2)), gamma, beta,
+                                            np.zeros(3), np.ones(3), True) * c4)
 
         x.zero_grad()
         through_bn().backward()
@@ -589,9 +638,9 @@ class TestBackward:
                 lambda: T.tsum(T.reshape(x, (3, 4)) * T.reshape(x, (3, 4)) * c1)
                 + T.tsum(x * x * c2),
                 2 * x.data * (w1.reshape(2, 6) + w2)),
-            "relu(batch_norm), then direct": (
+            "batch_norm_relu, then direct": (
                 lambda: through_bn() + T.tsum(x * c2), bn_grad + w2),
-            "direct, then relu(batch_norm)": (
+            "direct, then batch_norm_relu": (
                 lambda: T.tsum(x * c2) + through_bn(), w2 + bn_grad),
             "relu of the leaf, and direct": (
                 lambda: T.tsum(T.relu(x) * c2) + T.tsum(x * c2), (x.data > 0) * w2 + w2),
