@@ -4,9 +4,9 @@ Instead of iterating coefficients, each higher capsule is built from two
 candidate votes in a single pass: the master branch convolves only its own
 input capsule channel (grouped conv), the aide branch convolves every other
 channel (full conv whose same-index kernel weights are structurally masked to
-zero). Sigmoid coefficients produced by a 1x1 grouped conv gate the two votes,
-and the sum goes through BN, ReLU and squash. No routing loop exists anywhere
-in the op graph.
+zero). A 1x1 grouped conv reads both votes of each capsule jointly and
+produces its two sigmoid coefficients; the gated sum goes through BN, ReLU
+and squash. No routing loop exists anywhere in the op graph.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .capsules import grid_squash
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, Conv2d, Layer
 from .tensor import Tensor, seeded_rng
-
-INTERACTIONS = ("master_only", "v1", "v2", "v3")
-SKIP_MODES = ("none", "type_I", "type_II", "both")
 
 
 @dataclass
@@ -41,14 +38,11 @@ class CapConvSpec:
     kernel: int = 3
     stride: int = 1
     padding: int = 1
-    interaction: str = "v3"
 
     def __post_init__(self):
-        if self.interaction not in INTERACTIONS:
-            raise ConfigError(f"unknown interaction {self.interaction!r}")
         if self.caps < 1 or self.dim_in < 1 or self.dim_out < 1:
             raise ConfigError("capsule counts and dims must be positive")
-        if self.interaction != "master_only" and self.caps < 2:
+        if self.caps < 2:
             raise ConfigError("the masked aide needs at least 2 capsule channels")
 
 
@@ -63,7 +57,8 @@ def _aide_mask(caps: int, dim_out: int, dim_in: int) -> np.ndarray:
 class CapConv(Layer):
     """Master/aide capsule conv layer; see module docstring.
 
-    master_only has no aide and no gate: the layer is squash(relu(bn(master))).
+    The gate is grouped by capsule: it maps each capsule's stacked master and
+    aide votes (2 * dim_out channels) to that capsule's two coefficients.
     """
 
     _children = ("master", "aide", "gate", "bn")
@@ -74,26 +69,13 @@ class CapConv(Layer):
         c, d1, d2 = spec.caps, spec.dim_in, spec.dim_out
         self.master = Conv2d(c * d1, c * d2, spec.kernel, spec.stride, spec.padding,
                              groups=c, rng=seeded_rng(seed, name, "master"))
-        if spec.interaction == "master_only":
-            self.aide = None
-            self.gate = None
-        else:
-            # aide: kernel 1, stride matched to the master so shapes agree
-            self.aide = Conv2d(c * d1, c * d2, 1, spec.stride, 0, groups=1,
-                               rng=seeded_rng(seed, name, "aide"))
-            self._mask = T.constant(_aide_mask(c, d2, d1))
-            gate_in = 2 * d2 if spec.interaction == "v3" else d2
-            gate_out = 2 if spec.interaction == "v3" else 1
-            self.gate = Conv2d(c * gate_in, c * gate_out, 1, 1, 0, groups=c,
-                               rng=seeded_rng(seed, name, "gate"))
-            if spec.interaction in ("v1", "v2"):
-                self.gate2 = Conv2d(c * d2, c, 1, 1, 0, groups=c,
-                                    rng=seeded_rng(seed, name, "gate2"))
-                self._children = self._children + ("gate2",)
+        # aide: kernel 1, stride matched to the master so shapes agree
+        self.aide = Conv2d(c * d1, c * d2, 1, spec.stride, 0, groups=1,
+                           rng=seeded_rng(seed, name, "aide"))
+        self._mask = T.constant(_aide_mask(c, d2, d1))
+        self.gate = Conv2d(c * 2 * d2, c * 2, 1, 1, 0, groups=c,
+                           rng=seeded_rng(seed, name, "gate"))
         self.bn = BatchNorm2d(c * d2)
-
-    def _master_votes(self, x: Tensor) -> Tensor:
-        return self.master(x)
 
     def _aide_votes(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.aide.weight * self._mask, self.aide.stride,
@@ -103,19 +85,13 @@ class CapConv(Layer):
         """Per-capsule sigmoid gates (m1, m2), each (B, caps, H, W)."""
         c, d2 = self.spec.caps, self.spec.dim_out
         b, _, h, w = v1.shape
-        kind = self.spec.interaction
-        if kind == "v3":
-            a = T.reshape(v1, (b, c, d2, h, w))
-            bb = T.reshape(v2, (b, c, d2, h, w))
-            both = T.reshape(T.concat([a, bb], axis=2), (b, c * 2 * d2, h, w))
-            m = self.gate(both)                       # (B, 2*caps, H, W)
-            m = T.reshape(m, (b, c, 2, h, w))
-            m1 = T.reshape(T.slice_axis(m, 2, 0, 1), (b, c, h, w))
-            m2 = T.reshape(T.slice_axis(m, 2, 1, 2), (b, c, h, w))
-        elif kind == "v1":
-            m1, m2 = self.gate(v1), self.gate2(v2)
-        else:  # v2: each branch gated by the other's vote
-            m1, m2 = self.gate(v2), self.gate2(v1)
+        a = T.reshape(v1, (b, c, d2, h, w))
+        bb = T.reshape(v2, (b, c, d2, h, w))
+        both = T.reshape(T.concat([a, bb], axis=2), (b, c * 2 * d2, h, w))
+        m = self.gate(both)                       # (B, 2*caps, H, W)
+        m = T.reshape(m, (b, c, 2, h, w))
+        m1 = T.reshape(T.slice_axis(m, 2, 0, 1), (b, c, h, w))
+        m2 = T.reshape(T.slice_axis(m, 2, 1, 2), (b, c, h, w))
         return T.sigmoid(m1), T.sigmoid(m2)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -123,19 +99,15 @@ class CapConv(Layer):
         c, d1, d2 = spec.caps, spec.dim_in, spec.dim_out
         if x.shape[1] != c * d1:
             raise ShapeError(f"expected {c * d1} channels, got {x.shape[1]}")
-        v1 = self._master_votes(x)
+        v1 = self.master(x)
+        v2 = self._aide_votes(x)
+        if v2.shape != v1.shape:
+            raise ShapeError(f"master {v1.shape} / aide {v2.shape} disagree")
         b, _, h, w = v1.shape
-        if spec.interaction == "master_only":
-            s = v1
-        else:
-            v2 = self._aide_votes(x)
-            if v2.shape != v1.shape:
-                raise ShapeError(f"master {v1.shape} / aide {v2.shape} disagree")
-            m1, m2 = self._coefficients(v1, v2)
-            s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
-                 + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
-            s = T.reshape(s, (b, c * d2, h, w))
-        out = self.bn(s)
+        m1, m2 = self._coefficients(v1, v2)
+        s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
+             + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
+        out = self.bn(T.reshape(s, (b, c * d2, h, w)))
         return grid_squash(out, c, d2)
 
 
@@ -149,34 +121,27 @@ class ModuleTrace:
 
 
 class EncapModule(Layer):
-    """One Type I capsule conv plus n_type2 Type II convs with skips.
+    """One Type I capsule conv plus n_type2 Type II convs, each with a skip.
 
     Type I moves spatial size / capsule dim; its skip is a strided 1x1 grouped
-    projection. Type II layers keep shape; their skip is a plain residual add.
-    Depth counts every capsule conv plus the Type I layer: n_type2 + 1.
+    projection added to its output. Type II layers keep shape; their skip is a
+    plain residual add. Depth counts every capsule conv plus the Type I layer:
+    n_type2 + 1.
     """
 
     _children = ("type1", "type1_skip", "type2")
 
     def __init__(self, caps: int, dim_in: int, dim_out: int, n_type2: int = 0,
-                 stride: int = 1, interaction: str = "v3", skip: str = "both",
-                 seed: int = 0, name: str = "module"):
+                 stride: int = 1, seed: int = 0, name: str = "module"):
         super().__init__()
-        if skip not in SKIP_MODES:
-            raise ConfigError(f"unknown skip mode {skip!r}")
         if n_type2 < 0:
             raise ConfigError("n_type2 must be >= 0")
-        self.skip = skip
-        self.type1 = CapConv(
-            CapConvSpec(caps, dim_in, dim_out, 3, stride, 1, interaction),
-            seed=seed, name=f"{name}.type1")
-        if skip in ("type_I", "both"):
-            self.type1_skip = Conv2d(caps * dim_in, caps * dim_out, 1, stride, 0,
-                                     groups=caps, rng=seeded_rng(seed, name, "type1_skip"))
-        else:
-            self.type1_skip = None
+        self.type1 = CapConv(CapConvSpec(caps, dim_in, dim_out, 3, stride, 1),
+                             seed=seed, name=f"{name}.type1")
+        self.type1_skip = Conv2d(caps * dim_in, caps * dim_out, 1, stride, 0,
+                                 groups=caps, rng=seeded_rng(seed, name, "type1_skip"))
         self.type2 = [
-            CapConv(CapConvSpec(caps, dim_out, dim_out, 1, 1, 0, interaction),
+            CapConv(CapConvSpec(caps, dim_out, dim_out, 1, 1, 0),
                     seed=seed, name=f"{name}.type2_{i}")
             for i in range(n_type2)
         ]
@@ -186,15 +151,10 @@ class EncapModule(Layer):
         return len(self.type2) + 1
 
     def __call__(self, x: Tensor) -> tuple[Tensor, ModuleTrace]:
-        y = self.type1(x)
-        if self.type1_skip is not None:
-            y = y + self.type1_skip(x)
+        y = self.type1(x) + self.type1_skip(x)
         type1_out = y
         for layer in self.type2:
-            if self.skip in ("type_II", "both"):
-                y = layer(y) + y
-            else:
-                y = layer(y)
+            y = layer(y) + y
         return y, ModuleTrace(input=x, type1_out=type1_out, output=y)
 
 

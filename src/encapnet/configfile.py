@@ -2,7 +2,8 @@
 
 Sections: [net], [stem], [module1..N] (in order, no gaps), [ot], [train],
 [data]. Unknown keys are configuration errors so typos fail loudly instead
-of silently keeping a default.
+of silently keeping a default, and so is a key the configured family never
+reads: [net], [moduleN] and [ot] keys are checked against FAMILY_KEYS.
 """
 
 from __future__ import annotations
@@ -46,9 +47,28 @@ def _strs(v: str) -> tuple:
 # tuple-valued keys holding words rather than numbers
 _STRING_TUPLES = {"ot"}
 
+_NET_SHARED = {"family", "n_classes", "in_channels", "image_size", "caps_channels"}
+_MODULE_KEYS = {f.name for f in fields(ModuleSpec)}
 
-def _apply(section, cls, **fixed):
-    """Build a dataclass from an INI section with type-driven casting."""
+# The [net], [moduleN] and [ot] keys each family reads. A key missing here is
+# one the family's model never looks at; a section kind missing is one the
+# family reads nothing from.
+FAMILY_KEYS = {
+    "encapnet": {"net": _NET_SHARED | {"class_caps_dim"},
+                 "module": _MODULE_KEYS,
+                 "ot": {f.name for f in fields(OTConfig)}},
+    "capnet_dynamic": {"net": _NET_SHARED | {"class_caps_dim", "hidden_caps",
+                                             "hidden_dim", "routing_iters"}},
+    "vanilla_cnn": {"net": _NET_SHARED,
+                    "module": _MODULE_KEYS - {"ot"}},
+}
+
+
+def _apply(section, cls, family=None, kind=None, **fixed):
+    """Build a dataclass from an INI section with type-driven casting.
+
+    With a family, a key outside FAMILY_KEYS[family][kind] is rejected.
+    """
     kwargs = dict(fixed)
     by_name = {f.name: f for f in fields(cls)}
     for key in section:
@@ -56,6 +76,9 @@ def _apply(section, cls, **fixed):
             raise ConfigError(f"{key!r} is set by the loader and cannot appear in the file")
         if key not in by_name:
             raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
+        if family in FAMILY_KEYS and key not in FAMILY_KEYS[family].get(kind, ()):
+            raise ConfigError(
+                f"[{section.name}] {key} is not read by the {family} family")
         f = by_name[key]
         raw = section[key]
         if f.type in ("tuple", tuple):
@@ -81,19 +104,21 @@ def parse_config_text(text: str) -> RunConfig:
     if "net" not in cp:
         raise ConfigError("config needs a [net] section")
 
+    family = cp["net"].get("family", NetworkConfig.family).strip()
     stem = _apply(cp["stem"], StemSpec) if "stem" in cp else StemSpec()
 
     mods = []
     i = 1
     while f"module{i}" in cp:
-        mods.append(_apply(cp[f"module{i}"], ModuleSpec))
+        mods.append(_apply(cp[f"module{i}"], ModuleSpec, family, "module"))
         i += 1
     for name in cp.sections():
         if name.startswith("module") and name not in {f"module{j + 1}" for j in range(len(mods))}:
             raise ConfigError(f"module sections must be consecutive from module1; found {name}")
 
-    ot = _apply(cp["ot"], OTConfig) if "ot" in cp else OTConfig()
-    net = _apply(cp["net"], NetworkConfig, stem=stem, modules=tuple(mods), ot=ot)
+    ot = _apply(cp["ot"], OTConfig, family, "ot") if "ot" in cp else OTConfig()
+    net = _apply(cp["net"], NetworkConfig, family, "net",
+                 stem=stem, modules=tuple(mods), ot=ot)
     train = _apply(cp["train"], TrainConfig) if "train" in cp else TrainConfig()
     data = _apply(cp["data"], DataConfig) if "data" in cp else DataConfig()
     return RunConfig(net=net, train=train, data=data, text=text)

@@ -47,8 +47,7 @@ def _case_margin():
 
 
 def _case_capconv():
-    spec = CapConvSpec(caps=2, dim_in=2, dim_out=3, kernel=3, stride=2,
-                       padding=1, interaction="v3")
+    spec = CapConvSpec(caps=2, dim_in=2, dim_out=3, kernel=3, stride=2, padding=1)
     block = CapConv(spec, seed=21)
     rng = seeded_rng(11, "capconv")
     x = Tensor(rng.normal(size=(2, 4, 5, 5)))
@@ -86,10 +85,8 @@ def toy_network():
     cfg = NetworkConfig(
         family="encapnet", n_classes=3, in_channels=1, image_size=12,
         stem=StemSpec((8,), (1,)), caps_channels=4, class_caps_dim=4,
-        modules=(ModuleSpec(2, 4, stride=2, n_type2=1, interaction="v3",
-                            skip="both", ot=("main", "skip")),
-                 ModuleSpec(4, 4, stride=2, n_type2=0, interaction="v1",
-                            skip="type_I", ot=("main",))),
+        modules=(ModuleSpec(2, 4, stride=2, n_type2=1, ot=("main", "skip")),
+                 ModuleSpec(4, 4, stride=2, n_type2=0, ot=("main",))),
         ot=OTConfig(eps=0.1, iters=4, stop_gradient=False),
     )
     return build_network(cfg, seed=51)

@@ -63,8 +63,6 @@ class ModuleSpec:
     dim_out: int
     stride: int = 1
     n_type2: int = 0
-    interaction: str = "v3"
-    skip: str = "both"
     ot: tuple = ()
 
     def __post_init__(self):
@@ -181,8 +179,8 @@ class EncapNet(Layer):
         hws = cfg.module_hws()
         for i, ms in enumerate(cfg.modules):
             self.modules.append(EncapModule(
-                c, ms.dim_in, ms.dim_out, ms.n_type2, ms.stride, ms.interaction,
-                ms.skip, seed=seed, name=f"m{i + 1}"))
+                c, ms.dim_in, ms.dim_out, ms.n_type2, ms.stride,
+                seed=seed, name=f"m{i + 1}"))
             units, kinds = [], []
             for kind in ms.ot:
                 if kind == "main":

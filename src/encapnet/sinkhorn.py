@@ -36,11 +36,8 @@ class OTConfig:
     eps: float = 0.1
     iters: int = 10
     stop_gradient: bool = True
-    regularizer: str = "ot"  # ot | kl
 
     def __post_init__(self):
-        if self.regularizer not in ("ot", "kl"):
-            raise ConfigError(f"unknown regularizer {self.regularizer!r}")
         if self.eps <= 0 or self.iters < 1:
             raise ConfigError("eps must be positive and iters >= 1")
 
@@ -112,21 +109,6 @@ def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
              for a, c in ((x, y), (x, x), (y, y))]
     w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters, cfg.stop_gradient)
     return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
-
-
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """Mean over rows of sum p*log(p/q); q floored at 1e-12, 0*log0 = 0."""
-    p, q = as_tensor(p), as_tensor(q)
-    if p.shape != q.shape:
-        raise ShapeError(f"distribution shapes disagree: {p.shape} vs {q.shape}")
-    terms = p * (T.log(T.maximum(p, 1e-12)) - T.log(T.maximum(q, 1e-12)))
-    return T.tmean(T.tsum(terms, axis=-1))
-
-
-def kl_loss(x_feats, y_feats) -> Tensor:
-    """KL between softmaxed feature rows; the cheap non-OT alternative."""
-    x, y = as_tensor(x_feats), as_tensor(y_feats)
-    return kl_divergence(T.softmax(x, axis=-1), T.softmax(y, axis=-1))
 
 
 def brute_force_ot(Q: np.ndarray) -> float:
@@ -213,8 +195,8 @@ class FeedbackUnit(Layer):
     """Generator plus a shared extractor; yields one agreement penalty.
 
     The extractor is applied to both the generated and the real blob; the
-    penalty is the debiased Sinkhorn divergence (or the KL alternative)
-    between the two feature sets. The whole unit exists only for training.
+    penalty is the debiased Sinkhorn divergence between the two feature sets.
+    The whole unit exists only for training.
     """
 
     _children = ("generator", "extractor")
@@ -233,6 +215,4 @@ class FeedbackUnit(Layer):
             raise ConfigError(f"generated {u_hat.shape} != target {u.shape}")
         fx = self.extractor(u_hat)
         fy = self.extractor(u)
-        if self.cfg.regularizer == "kl":
-            return kl_loss(fx, fy)
         return sinkhorn_divergence(fx, fy, self.cfg)

@@ -7,26 +7,19 @@ from encapnet import tensor as T
 from encapnet.capconv import (CapConv, CapConvSpec, EncapModule,
                               mapping_kernel_extent, mapping_param_reduction,
                               routing_ops_reduction)
-from encapnet.capsules import grid_squash
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.tensor import Tensor, seeded_rng
 
 
-def make_layer(interaction="v3", caps=3, dim_in=4, dim_out=4, stride=1, seed=0):
-    spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1,
-                       interaction=interaction)
+def make_layer(caps=3, dim_in=4, dim_out=4, stride=1, seed=0):
+    spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1)
     return CapConv(spec, seed=seed)
 
 
 class TestSpecValidation:
-    def test_unknown_interaction(self):
-        with pytest.raises(ConfigError):
-            CapConvSpec(2, 4, 4, interaction="v9")
-
     def test_masked_aide_needs_two_channels(self):
         with pytest.raises(ConfigError):
-            CapConvSpec(1, 4, 4, interaction="v3")
-        CapConvSpec(1, 4, 4, interaction="master_only")
+            CapConvSpec(1, 4, 4)
 
     def test_positive_dims(self):
         with pytest.raises(ConfigError):
@@ -71,42 +64,23 @@ class TestMasterBranch:
         layer = make_layer()
         c, d1, d2 = layer.spec.caps, layer.spec.dim_in, layer.spec.dim_out
         x = Tensor(seeded_rng(3, "x").normal(size=(1, c * d1, 4, 4)))
-        base = layer._master_votes(x).data
+        base = layer.master(x).data
         for cap in range(c):
             bumped = x.data.copy()
             bumped[:, cap * d1:(cap + 1) * d1] += 0.5
-            delta = layer._master_votes(Tensor(bumped)).data - base
+            delta = layer.master(Tensor(bumped)).data - base
             others = np.delete(delta, np.s_[cap * d2:(cap + 1) * d2], axis=1)
             np.testing.assert_array_equal(others, 0.0)
             assert np.abs(delta[:, cap * d2:(cap + 1) * d2]).max() > 0
 
 
 class TestForward:
-    @pytest.mark.parametrize("interaction", ["master_only", "v1", "v2", "v3"])
-    def test_shapes_and_finiteness(self, interaction):
-        layer = make_layer(interaction=interaction, stride=2)
+    def test_shapes_and_finiteness(self):
+        layer = make_layer(stride=2)
         c, d1, d2 = layer.spec.caps, layer.spec.dim_in, layer.spec.dim_out
         out = layer(Tensor(seeded_rng(4, "x").normal(size=(2, c * d1, 6, 6))))
         assert out.shape == (2, c * d2, 3, 3)
         assert np.all(np.isfinite(out.data))
-
-    def test_master_only_is_master_bn_relu_squash(self):
-        # master_only has no aide and no gate: its output is the master votes
-        # through batch norm, relu and the per-capsule squash, nothing else
-        layer = make_layer(interaction="master_only", seed=7)
-        c, d2 = layer.spec.caps, layer.spec.dim_out
-        assert layer.aide is None and layer.gate is None
-        assert {n.split(".")[0] for n, _ in layer.named_params()} == {"master", "bn"}
-        rng = seeded_rng(5, "bn")
-        layer.bn.gamma.data = rng.uniform(0.5, 1.5, size=c * d2)
-        layer.bn.beta.data = rng.normal(size=c * d2)
-        buffers = dict(layer.named_buffers())
-        buffers["bn.running_mean"][...] = rng.normal(size=c * d2)
-        buffers["bn.running_var"][...] = rng.uniform(0.5, 2.0, size=c * d2)
-        layer.set_mode(False)
-        x = Tensor(seeded_rng(5, "x").normal(size=(2, 12, 5, 5)))
-        expect = grid_squash(layer.bn(layer.master(x)), c, d2)
-        np.testing.assert_array_equal(layer(x).data, expect.data)
 
     def test_no_softmax_in_graph(self):
         # one-pass routing: the tape of a forward pass holds no softmax and no
@@ -156,20 +130,16 @@ class TestEncapModule:
         assert trace.type1_out.shape == (2, 12, 3, 3)
         assert trace.output is y
 
-    def test_skip_modes(self):
-        # type_I mode owns a projection; none has neither skip path
-        assert EncapModule(2, 4, 4, skip="type_I").type1_skip is not None
-        assert EncapModule(2, 4, 4, skip="none").type1_skip is None
-        with pytest.raises(ConfigError):
-            EncapModule(2, 4, 4, skip="diagonal")
-
-    def test_type2_residual_changes_output(self):
+    def test_output_is_type2_residual_over_skipped_type1(self):
+        # y = type1(x) + type1_skip(x), then each Type II layer adds y back
         x = Tensor(seeded_rng(9, "x").normal(size=(1, 8, 4, 4)))
-        with_skip = EncapModule(2, 4, 4, n_type2=1, skip="both", seed=3)
-        without = EncapModule(2, 4, 4, n_type2=1, skip="type_I", seed=3)
-        with_skip.set_mode(False)
-        without.set_mode(False)
-        assert not np.array_equal(with_skip(x)[0].data, without(x)[0].data)
+        m = EncapModule(2, 4, 4, n_type2=1, seed=3)
+        m.set_mode(False)
+        y = m.type1(x) + m.type1_skip(x)
+        expect = m.type2[0](y) + y
+        out, trace = m(x)
+        np.testing.assert_array_equal(trace.type1_out.data, y.data)
+        np.testing.assert_array_equal(out.data, expect.data)
 
     def test_negative_type2_rejected(self):
         with pytest.raises(ConfigError):

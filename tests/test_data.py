@@ -202,6 +202,18 @@ n_classes = 4
 image_size = 12
 """
 
+# CONFIG_TEXT cut down, for each family, to the keys that family reads
+_NO_OT = CONFIG_TEXT.replace("[ot]\neps = 0.1\niters = 3\n", "")
+FAMILY_CONFIG_TEXT = {
+    "encapnet": CONFIG_TEXT,
+    "vanilla_cnn": _NO_OT.replace("family = encapnet", "family = vanilla_cnn")
+                         .replace("class_caps_dim = 4\n", "")
+                         .replace("ot = main, skip\n", ""),
+    "capnet_dynamic": _NO_OT.replace("family = encapnet", "family = capnet_dynamic")
+                            .replace("[module1]\ndim_in = 2\ndim_out = 4\nstride = 2\n"
+                                     "n_type2 = 1\not = main, skip\n", ""),
+}
+
 
 class TestConfigFile:
     def test_full_parse(self):
@@ -231,13 +243,42 @@ class TestConfigFile:
         ("ot", "debiased = true"),
         ("net", "softmax_axis = inputs"),
         ("module1", "aide_all_channels = false"),
+        ("module1", "interaction = v3"),
+        ("module1", "skip = both"),
+        ("ot", "regularizer = ot"),
     ])
     def test_fixed_choice_key_rejected(self, section, line):
         # the cosine cost, the debiased divergence, the softmax over lower
-        # capsules and the masked aide are fixed; naming their old key fails
+        # capsules, the masked aide, the joint master/aide gate, both skips
+        # and the OT regularizer are fixed; naming their old key fails
         bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
         with pytest.raises(ConfigError, match=line.split(" = ")[0]):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("family, section, line", [
+        ("encapnet", "net", "hidden_caps = 4"),
+        ("encapnet", "net", "hidden_dim = 16"),
+        ("encapnet", "net", "routing_iters = 3"),
+        ("vanilla_cnn", "net", "hidden_caps = 4"),
+        ("vanilla_cnn", "net", "hidden_dim = 16"),
+        ("vanilla_cnn", "net", "routing_iters = 3"),
+        ("vanilla_cnn", "net", "class_caps_dim = 4"),
+        ("vanilla_cnn", "module1", "ot = main"),
+        ("vanilla_cnn", "ot", "eps = 0.1"),
+        ("capnet_dynamic", "module1", "dim_in = 2"),
+        ("capnet_dynamic", "ot", "eps = 0.1"),
+    ])
+    def test_key_the_family_does_not_read_rejected(self, family, section, line):
+        text = FAMILY_CONFIG_TEXT[family]
+        assert parse_config_text(text).net.family == family
+        if f"[{section}]" in text:
+            bad = text.replace(f"[{section}]", f"[{section}]\n{line}")
+        else:
+            bad = f"{text}\n[{section}]\n{line}\n"
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key) as err:
+            parse_config_text(bad)
+        assert family in str(err.value)
 
     def test_module_gap_rejected(self):
         with pytest.raises(ConfigError):

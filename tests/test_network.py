@@ -11,7 +11,7 @@ from encapnet import tensor as T
 from encapnet.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from encapnet.configfile import load_config
 from encapnet.errors import ConfigError, DataFormatError
-from encapnet.network import (FAMILIES, CapNet, EncapNet, ModuleSpec,
+from encapnet.network import (FAMILIES, OT_KINDS, CapNet, EncapNet, ModuleSpec,
                               NetworkConfig, StemSpec, VanillaCNN, build_network,
                               parameter_table)
 from encapnet.optim import Adam
@@ -112,13 +112,16 @@ class TestAssembly:
         assert caps.shape == (2, 5, 4) and ot_vals == []
 
     def test_every_family_built_by_a_shipped_config(self):
-        # every option has a caller: a family no config builds is dead code
+        # every option has a caller: a family or feedback kind that no config
+        # builds is dead code
         configs = os.path.join(os.path.dirname(__file__), "..", "configs")
-        built = set()
+        built, kinds = set(), set()
         for name in os.listdir(configs):
             rc = load_config(os.path.join(configs, name))
             built.add(build_network(rc.net, seed=0).cfg.family)
+            kinds.update(k for m in rc.net.modules for k in m.ot)
         assert built == set(FAMILIES)
+        assert kinds == set(OT_KINDS)
 
     def test_vanilla_cnn_mirrors_blob_shapes(self):
         cfg = small_cfg()

@@ -6,8 +6,7 @@ import pytest
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
-                               OTConfig, brute_force_ot, cost_matrix,
-                               kl_divergence, kl_loss, ot_loss,
+                               OTConfig, brute_force_ot, cost_matrix, ot_loss,
                                sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 
@@ -182,27 +181,8 @@ class TestDivergence:
         assert max(errs) < 1e-6
 
 
-class TestKL:
-    def test_zero_on_identical(self):
-        p = Tensor(np.array([[0.2, 0.3, 0.5]]))
-        assert float(kl_divergence(p, p).data) == pytest.approx(0.0, abs=1e-12)
-
-    def test_floor_keeps_finite(self):
-        p = Tensor(np.array([[1.0, 0.0]]))
-        q = Tensor(np.array([[0.0, 1.0]]))
-        assert np.isfinite(float(kl_divergence(p, q).data))
-
-    def test_kl_loss_softmaxes_rows(self):
-        x = Tensor(seeded_rng(0, "k").normal(size=(3, 4)))
-        assert float(kl_loss(x, x).data) == pytest.approx(0.0, abs=1e-12)
-        y = Tensor(seeded_rng(1, "k").normal(size=(3, 4)))
-        assert float(kl_loss(x, y).data) > 0
-
-
 class TestOTConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            OTConfig(regularizer="mmd")
         with pytest.raises(ConfigError):
             OTConfig(eps=0.0)
         with pytest.raises(ConfigError):
@@ -256,14 +236,6 @@ class TestFeedbackUnit:
         d = unit.divergence(v, u)
         assert d.shape == ()
         assert np.isfinite(float(d.data))
-
-    def test_kl_variant(self):
-        cfg = OTConfig(eps=0.1, iters=5, regularizer="kl")
-        unit = FeedbackUnit(2, 4, 2, 4, stride=1, cfg=cfg, seed=1)
-        rng = seeded_rng(1, "fb")
-        v = Tensor(rng.normal(size=(3, 8, 5, 5)))
-        u = Tensor(rng.normal(size=(3, 8, 5, 5)))
-        assert np.isfinite(float(unit.divergence(v, u).data))
 
     def test_geometry_mismatch_rejected(self):
         cfg = OTConfig()
