@@ -9,7 +9,7 @@ reads: [net], [moduleN] and [ot] keys are checked against FAMILY_KEYS.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
 from .data import DataConfig
@@ -32,7 +32,7 @@ def _bool(v: str) -> bool:
         return True
     if s in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {v!r}")
+    raise ValueError(f"not a boolean: {v!r}")
 
 
 def _ints(v: str) -> tuple:
@@ -67,7 +67,8 @@ FAMILY_KEYS = {
 def _apply(section, cls, family=None, kind=None, **fixed):
     """Build a dataclass from an INI section with type-driven casting.
 
-    With a family, a key outside FAMILY_KEYS[family][kind] is rejected.
+    With a family, a key outside FAMILY_KEYS[family][kind] is rejected. A
+    value that does not cast and a required key left out are rejected too.
     """
     kwargs = dict(fixed)
     by_name = {f.name: f for f in fields(cls)}
@@ -81,21 +82,30 @@ def _apply(section, cls, family=None, kind=None, **fixed):
                 f"[{section.name}] {key} is not read by the {family} family")
         f = by_name[key]
         raw = section[key]
-        if f.type in ("tuple", tuple):
-            kwargs[key] = _strs(raw) if key in _STRING_TUPLES else _ints(raw)
-        elif f.type in ("bool", bool):
-            kwargs[key] = _bool(raw)
-        elif f.type in ("int", int):
-            kwargs[key] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw.strip()
+        try:
+            if f.type in ("tuple", tuple):
+                kwargs[key] = _strs(raw) if key in _STRING_TUPLES else _ints(raw)
+            elif f.type in ("bool", bool):
+                kwargs[key] = _bool(raw)
+            elif f.type in ("int", int):
+                kwargs[key] = int(raw)
+            elif f.type in ("float", float):
+                kwargs[key] = float(raw)
+            else:
+                kwargs[key] = raw.strip()
+        except ValueError:
+            raise ConfigError(
+                f"[{section.name}] {key} = {raw.strip()!r} is not a valid {f.type}") from None
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"[{section.name}] needs {', '.join(missing)}")
     return cls(**kwargs)
 
 
 def parse_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a '%' in a value (a data path, say) is a plain character
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:

@@ -98,22 +98,38 @@ class DataConfig:
             raise ConfigError(f"unknown data source {self.source!r}")
 
 
-def bar_image(size: int, angle: float, center, half_len: float,
-              half_width: float = 1.5) -> np.ndarray:
-    """Analytic anti-aliased bar: intensity falls off linearly across and along."""
-    cy, cx = center
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    dx, dy = xs - cx, ys - cy
-    along = dx * np.cos(angle) + dy * np.sin(angle)
-    across = -dx * np.sin(angle) + dy * np.cos(angle)
-    img = np.clip(1.0 - np.abs(across) / half_width, 0.0, 1.0)
+# Images synth_generate renders per bar_image call; few enough that the
+# render's full-size temporaries add little to the process's memory.
+SYNTH_CHUNK = 16
+
+
+def bar_image(size: int, angle, center, half_len: float,
+              half_width: float = 1.5, out: np.ndarray | None = None) -> np.ndarray:
+    """Analytic anti-aliased bars: intensity falls off linearly across and along.
+
+    angle (...) and center (..., 2) as (cy, cx) give images (..., size, size),
+    written to out when given; a scalar angle and one center give one image.
+    """
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
+    center = np.asarray(center, dtype=np.float64)
+    cy, cx = center[..., 0, None, None], center[..., 1, None, None]
+    grid = np.arange(size, dtype=np.float64)
+    dx, dy = grid - cx, grid[:, None] - cy
+    cos, sin = np.cos(angle), np.sin(angle)
+    along = dx * cos + dy * sin
+    across = -dx * sin + dy * cos
+    img = np.clip(1.0 - np.abs(across) / half_width, 0.0, 1.0, out=out)
     img *= np.clip(half_len + 1.0 - np.abs(along), 0.0, 1.0)
     return img
 
 
 def synth_generate(n: int, n_classes: int = 10, image_size: int = 28,
                    noise: float = 0.05, seed: int = 0):
-    """n bar images with orientation classes; first n_classes are canonical."""
+    """n bar images with orientation classes; first n_classes are canonical.
+
+    Each jittered image draws its angle, cy, cx and noise in that order; the
+    bars are rendered SYNTH_CHUNK images at a time.
+    """
     if n_classes < 2 or n < n_classes:
         raise ConfigError("need n >= n_classes >= 2")
     rng = seeded_rng(seed, "synth")
@@ -122,17 +138,18 @@ def synth_generate(n: int, n_classes: int = 10, image_size: int = 28,
     c0 = (image_size - 1) / 2.0
     half_len = 0.35 * image_size
     max_rot = 0.5 * np.pi / n_classes * 0.8
-    for i in range(n):
-        angle = np.pi * labels[i] / n_classes
-        if i < n_classes:
-            img = bar_image(image_size, angle, (c0, c0), half_len)
-        else:
-            angle = angle + rng.uniform(-max_rot, max_rot)
-            cy = c0 + rng.uniform(-2.0, 2.0)
-            cx = c0 + rng.uniform(-2.0, 2.0)
-            img = bar_image(image_size, angle, (cy, cx), half_len)
-            img = img + rng.normal(0.0, noise, size=img.shape)
-        images[i] = np.clip(img, 0.0, 1.0)
+    angles = np.pi * labels / n_classes
+    for lo in range(0, n, SYNTH_CHUNK):
+        hi = min(lo + SYNTH_CHUNK, n)
+        centers = np.full((hi - lo, 2), c0)
+        jitter = np.zeros((hi - lo, image_size, image_size))
+        for i in range(max(lo, n_classes), hi):
+            angles[i] += rng.uniform(-max_rot, max_rot)
+            centers[i - lo] = c0 + rng.uniform(-2.0, 2.0), c0 + rng.uniform(-2.0, 2.0)
+            jitter[i - lo] = rng.normal(0.0, noise, size=(image_size, image_size))
+        out = bar_image(image_size, angles[lo:hi], centers, half_len, out=images[lo:hi])
+        out += jitter
+        np.clip(out, 0.0, 1.0, out=out)
     return images, labels
 
 

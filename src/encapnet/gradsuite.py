@@ -10,6 +10,8 @@ objective <Q, stop(P)> numerically.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import tensor as T
@@ -55,9 +57,10 @@ def _case_capconv():
     return lambda: _sq_sum(block(x)), tensors
 
 
-def _case_dynamic_routing():
+def _case_dynamic_routing(iters):
+    """iters = 1 checks the closed-form first pass alone; 3 the logits too."""
     layer = CapNetLayer(caps_in=2, dim_in=2, caps_out=3, dim_out=3, out_hw=(1, 1),
-                        iters=3, rng=seeded_rng(31, "dynamic"))
+                        iters=iters, rng=seeded_rng(31, "dynamic"))
     rng = seeded_rng(11, "dynamic")
     x = Tensor(rng.normal(size=(2, 4, 2, 2)))
     tensors = [("x", x)] + list(layer.named_params())
@@ -143,7 +146,8 @@ CASES = {
     "capfc": _case_capfc,
     "margin_loss": _case_margin,
     "capconv_bn_relu_squash": _case_capconv,
-    "dynamic_routing_r3": _case_dynamic_routing,
+    "dynamic_routing_r1": partial(_case_dynamic_routing, 1),
+    "dynamic_routing_r3": partial(_case_dynamic_routing, 3),
     "generator": _case_generator,
     "extractor": _case_extractor,
     "toy_net_total_loss": _case_toy_net,
@@ -151,7 +155,7 @@ CASES = {
 
 GROUPS = {
     "core": ("squash", "capfc", "margin_loss"),
-    "routing": ("dynamic_routing_r3",),
+    "routing": ("dynamic_routing_r1", "dynamic_routing_r3"),
     "capconv": ("capconv_bn_relu_squash",),
     "feedback": ("generator", "extractor", "ot_loss_stop_gradient"),
     "net": ("toy_net_total_loss",),

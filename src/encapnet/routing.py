@@ -3,7 +3,9 @@
 Every lower capsule i votes a d2-vector for every higher capsule j, its pose
 times a transform that all spatial locations of its capsule channel share
 (CapsuleMapping). Dynamic routing is one tape node on the poses and
-transforms that never builds the votes; its backward sweeps every iteration.
+transforms that never builds the votes and returns only the routed capsules:
+its first pass is the closed-form mean pose, later passes normalise the
+softmax on the small pooled poses, and its backward sweeps every iteration.
 The vote-agreement histogram is computed from the same poses and transforms.
 """
 
@@ -54,12 +56,10 @@ class CapsuleMapping(Layer):
         return T.transpose(T.reshape(self.weight, shape), (0, 3, 1, 2))
 
 
-def dynamic_routing(poses: Tensor, transforms: Tensor, iters: int = 3):
-    """Agreement routing on the votes poses @ transforms, which it never
-    builds (tensor.route_by_agreement): (v, constant coefficients)."""
-    b, g, p, _ = poses.shape
-    coeff = np.empty((b, g * p, transforms.shape[2]))
-    return T.route_by_agreement(poses, transforms, iters, coeff), T.constant(coeff)
+def dynamic_routing(poses: Tensor, transforms: Tensor, iters: int = 3) -> Tensor:
+    """The routed capsules v (B, n2, d2) of agreement routing on the votes
+    poses @ transforms, which it never builds (tensor.route_by_agreement)."""
+    return T.route_by_agreement(poses, transforms, iters)
 
 
 class CapNetLayer(Layer):
@@ -83,7 +83,7 @@ class CapNetLayer(Layer):
     def route(self, x: Tensor) -> Tensor:
         """The routed higher capsules v (B, n2, dim_out)."""
         m = self.mapping
-        return dynamic_routing(m.poses(x), m.transforms(), self.iters)[0]
+        return dynamic_routing(m.poses(x), m.transforms(), self.iters)
 
     def agreement(self, x: Tensor):
         """cos(u_ij, v_j) and |u_ij|, each (B, n1, n2), for the votes u this

@@ -599,18 +599,25 @@ def squash(s, axis: int = -1) -> Tensor:
     return _make(s.data * k, (s,), back, "squash")
 
 
-def route_by_agreement(poses, transforms, iters: int, coeff: np.ndarray) -> Tensor:
+def route_by_agreement(poses, transforms, iters: int) -> Tensor:
     """Dynamic routing to v (B, n2, d2) as one node, on votes it never forms.
 
     poses (B, g, p, k) and transforms (g, k, n2, d2) imply the votes
     u[b, i, j] = poses[b, g, p] @ transforms[g, :, j] of the n1 = g*p lower
     capsules i = (g, p). Per iteration c = softmax over n1 of the logits,
-    v = squash(sum_i c_i u_i) and, but on the last, logits += u_i . v; the
-    last c is written to coeff (B, n1, n2). Both sums contract through the
-    poses P and the transforms W instead: Q = c^T P batched over (b, g), then
-    s = Q W batched over j; A = W v batched over j, then P A. The backward
-    sweeps the iterations in reverse and adds each one's share of the poses
-    gradient, c gQ + gl A^T, and of the transforms gradient, Q^T gs + gA^T v.
+    v = squash(sum_i c_i u_i) and, but on the last, logits += u_i . v. Both
+    sums contract through the poses P and the transforms W instead:
+    Q = c^T P batched over (b, g), then s = Q W batched over j; the logits are
+    P A with A = sum of W v over the iterations so far. The first iteration's
+    coefficients are exactly 1/n1, so its Q is each channel's mean pose for
+    every j. Later ones keep e = exp(logits - column max) unnormalised and
+    divide Q by the column sums z instead of the coefficients.
+
+    The backward sweeps the iterations in reverse, with 1/z folded into the
+    small gQ/z: the poses gradient gains e (gQ/z)^T and gl A^T (the first
+    iteration: sum_j gQ_j / n1 at every p), the transforms gradient Q^T gs and
+    ga^T v, where gl = e (P gQ/z - Q.gQ/z) is the logits gradient and ga sums
+    P^T gl over the later iterations.
     """
     poses, transforms = as_tensor(poses), as_tensor(transforms)
     if iters < 1:
@@ -619,50 +626,59 @@ def route_by_agreement(poses, transforms, iters: int, coeff: np.ndarray) -> Tens
     if transforms.data.shape[:2] != (g, k):
         raise ShapeError(f"transforms {transforms.data.shape} do not map poses {poses.data.shape}")
     n2, d2 = transforms.data.shape[2:]
-    P = poses.data
+    n1, P = g * p, poses.data
     W = np.ascontiguousarray(transforms.data.transpose(2, 0, 1, 3)).reshape(n2, g * k, d2)
 
     def per_image(a):  # (n2, B, g*k) -> (B, g, k, n2) view
         return a.reshape(n2, b, g, k).transpose(1, 2, 3, 0)
 
-    logits, saved = np.zeros((b, g * p, n2)), []
+    e = z = A = None
+    saved = []
     for r in range(iters):
-        if r == 0:  # a softmax of zero logits, bit for bit
-            c = np.full((b, g, p, n2), 1.0 / (g * p))
+        if r == 0:  # c = 1/n1 exactly: Q_j is the mean pose, the same for every j
+            q = P.sum(axis=2).reshape(b, g * k) / n1
         else:
-            c = logits - logits.max(axis=1, keepdims=True)
-            np.exp(c, out=c)
-            c /= c.sum(axis=1, keepdims=True)
-            c = c.reshape(b, g, p, n2)
-        q = np.empty((n2, b, g * k))
-        np.matmul(c.swapaxes(-1, -2), P, out=per_image(q).swapaxes(-1, -2))
+            if e is None or _grad_enabled:
+                e = np.empty((b, g, p, n2))
+            np.matmul(P, per_image(A), out=e)
+            flat = e.reshape(b, n1, n2)
+            flat -= flat.max(axis=1, keepdims=True)
+            np.exp(flat, out=flat)
+            z = flat.sum(axis=1)
+            q = np.empty((n2, b, g * k))
+            np.matmul(e.swapaxes(-1, -2), P, out=per_image(q).swapaxes(-1, -2))
+            q /= z.T[:, :, None]
         s = np.matmul(q, W)
         n, scale = _squash_scale(s, -1)
         v = s * scale
-        a = np.matmul(v, W.swapaxes(-1, -2)) if r < iters - 1 else None
-        if a is not None:
-            logits += np.matmul(P, per_image(a)).reshape(b, g * p, n2)
-        saved += [(c, q, s, n, scale, v, a)] if _grad_enabled else []
-    coeff[...] = c.reshape(b, g * p, n2)
+        saved += [(e, z, q, s, n, scale, v, A)] if _grad_enabled else []
+        if r < iters - 1:
+            a = np.matmul(v, W.swapaxes(-1, -2))
+            A = a if A is None else A + a
 
     def back(g_out):
-        gv, gl = g_out.transpose(1, 0, 2), None
+        gv, ga = g_out.transpose(1, 0, 2), None
         gp, gw = np.zeros_like(P), np.zeros_like(W)
-        for c, q, s, n, scale, v, a in reversed(saved):
-            if a is not None:  # a later iteration read v through the logits
-                ga = np.empty((n2, b, g * k))
-                np.matmul(P.swapaxes(-1, -2), gl, out=per_image(ga))
+        for e, z, q, s, n, scale, v, A in reversed(saved):
+            if ga is not None:  # later iterations read v through their logits
                 gv = np.matmul(ga, W)
-                gp += np.matmul(gl, per_image(a).swapaxes(-1, -2))
                 gw += np.matmul(ga.swapaxes(-1, -2), v)
             gs = _squash_grad(s, n, scale, gv, -1)
             gq = np.matmul(gs, W.swapaxes(-1, -2))
-            gp += np.matmul(c, per_image(gq).swapaxes(-1, -2))
             gw += np.matmul(q.swapaxes(-1, -2), gs)
-            # softmax backward; sum_i c_i gc_i contracts to sum_{g,k} Q gQ
-            dot = (q * gq).sum(axis=-1).T.reshape(b, 1, 1, n2)
-            gc = c * (np.matmul(P, per_image(gq)) - dot)
-            gl = gc if gl is None else gl + gc
+            if e is None:  # the first iteration: constant coefficients 1/n1
+                gp += (gq.sum(axis=0) / n1).reshape(b, g, 1, k)
+                continue
+            gq /= z.T[:, :, None]  # gQ/z from here on
+            gp += np.matmul(e, per_image(gq).swapaxes(-1, -2))
+            # softmax backward; sum_i c_i (P_i . gQ_j) contracts to Q_j . gQ_j
+            gl = np.matmul(P, per_image(gq))
+            gl -= (q * gq).sum(axis=-1).T.reshape(b, 1, 1, n2)
+            gl *= e
+            gp += np.matmul(gl, per_image(A).swapaxes(-1, -2))
+            gA = np.empty((n2, b, g * k))
+            np.matmul(P.swapaxes(-1, -2), gl, out=per_image(gA))
+            ga = gA if ga is None else ga + gA
         poses._accumulate(gp)
         transforms._accumulate(gw.reshape(n2, g, k, d2).transpose(1, 2, 0, 3))
 

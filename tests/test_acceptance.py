@@ -144,7 +144,7 @@ def test_sinkhorn_invariants():
 
 def test_gradient_suite_every_layer():
     # central differences at 64-bit over every building block: squash, capFC,
-    # margin loss, capConv with BN-ReLU-squash, R=3 dynamic routing,
+    # margin loss, capConv with BN-ReLU-squash, R=1 and R=3 dynamic routing,
     # generator, extractor, ot_loss under stop-gradient, and a 2-module net
     # with the total loss
     t0 = time.perf_counter()
@@ -153,24 +153,17 @@ def test_gradient_suite_every_layer():
     for name, err, tol, passed, note in rows:
         assert passed, f"{name}: rel err {err:.3e} >= {tol:g} {note}"
         assert err < 1e-4
-    assert len(rows) == len(GROUPS["all"]) == 9
+    assert len(rows) == len(GROUPS["all"]) == 10
     assert elapsed < 300.0
     worst = max(rows, key=lambda r: r[1])
     print(f"{len(rows)} cases, worst {worst[0]} rel err {worst[1]:.2e}, {elapsed:.1f}s")
 
 
 def test_structural_routing_invariants():
-    # dynamic coefficients live on the simplex at every iteration depth
+    # a single iteration is uniform averaging, up to the summation order of
+    # the sum over lower capsules
     votes = Tensor(seeded_rng(0, "votes").normal(size=(2, 6, 4, 5)))
-    for iters in (1, 2, 3, 4, 5):
-        _, coeff = dynamic_routing(*one_hot_routing(votes), iters=iters)
-        np.testing.assert_allclose(coeff.data.sum(axis=1), 1.0, atol=1e-12)
-
-    # a single iteration is uniform averaging: the coefficients bitwise, the
-    # output up to the summation order of the sum over lower capsules
-    b, n1, n2, d2 = votes.shape
-    v, coeff = dynamic_routing(*one_hot_routing(votes), iters=1)
-    np.testing.assert_array_equal(coeff.data, np.full((b, n1, n2), 1.0 / n1))
+    v = dynamic_routing(*one_hot_routing(votes), iters=1)
     expect = squash(Tensor(votes.data.mean(axis=1)), axis=-1).data
     np.testing.assert_allclose(v.data, expect, rtol=1e-13)
 
@@ -194,7 +187,7 @@ def test_structural_routing_invariants():
                 assert mask.sum() == mask.size - c * d2_ * d1
                 checked += 1
     assert checked > 0
-    print(f"simplex/uniform-R1 invariants ok, partition in {checked} layers")
+    print(f"uniform-R1 invariant ok, partition in {checked} layers")
 
 
 def smoke_runs(rc, data, out_root, lr, schedule, max_epochs):

@@ -129,6 +129,17 @@ def test_train_overrides(encap_ini, tmp_path, capsys):
     assert all(r["ot_m1"] is None for r in rows)
 
 
+@pytest.mark.parametrize("line, bad_line, message", [
+    ("dim_in = 2\ndim_out = 4\n", "", "[module1] needs dim_in, dim_out"),
+    ("dim_in = 2", "dim_in = abc", "[module1] dim_in = 'abc' is not a valid int"),
+], ids=["missing_dims", "bad_int"])
+def test_bad_config_exits_with_message(tmp_path, capsys, line, bad_line, message):
+    p = tmp_path / "bad.ini"
+    p.write_text(ENCAP_INI.replace(line, bad_line, 1))
+    assert main(["param-count", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_gradcheck_core(capsys):
     assert main(["gradcheck", "--group", "core"]) == 0
     out = capsys.readouterr().out

@@ -55,7 +55,51 @@ class TestIdx:
             save_idx(str(tmp_path / "x"), np.zeros((2, 2), dtype=np.uint8))
 
 
+def bar_image_loop(size, angle, center, half_len, half_width=1.5):
+    """One bar on a full pixel grid, as synth_generate once drew each image."""
+    cy, cx = center
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    dx, dy = xs - cx, ys - cy
+    along = dx * np.cos(angle) + dy * np.sin(angle)
+    across = -dx * np.sin(angle) + dy * np.cos(angle)
+    img = np.clip(1.0 - np.abs(across) / half_width, 0.0, 1.0)
+    img *= np.clip(half_len + 1.0 - np.abs(along), 0.0, 1.0)
+    return img
+
+
+def synth_generate_loop(n, n_classes, image_size, noise=0.05, seed=0):
+    """synth_generate's per-image loop: the reference for the chunked render."""
+    rng = seeded_rng(seed, "synth")
+    images = np.empty((n, image_size, image_size))
+    c0 = (image_size - 1) / 2.0
+    half_len = 0.35 * image_size
+    max_rot = 0.5 * np.pi / n_classes * 0.8
+    for i in range(n):
+        angle = np.pi * (i % n_classes) / n_classes
+        if i < n_classes:
+            img = bar_image_loop(image_size, angle, (c0, c0), half_len)
+        else:
+            angle = angle + rng.uniform(-max_rot, max_rot)
+            cy = c0 + rng.uniform(-2.0, 2.0)
+            cx = c0 + rng.uniform(-2.0, 2.0)
+            img = bar_image_loop(image_size, angle, (cy, cx), half_len)
+            img = img + rng.normal(0.0, noise, size=img.shape)
+        images[i] = np.clip(img, 0.0, 1.0)
+    return images
+
+
 class TestSynthetic:
+    # (n, K, size): a workload's train and test sets, sizes that end inside
+    # a render chunk, and canonical images that fill more than one chunk
+    @pytest.mark.parametrize("n, n_classes, size", [
+        (640, 10, 28), (160, 10, 28), (200, 4, 12), (64, 10, 28), (30, 10, 28), (45, 20, 9)])
+    def test_chunked_render_bitwise_equals_per_image_loop(self, n, n_classes, size):
+        for seed in (0, 7):
+            x, y = synth_generate(n, n_classes, size, seed=seed)
+            ref = synth_generate_loop(n, n_classes, size, seed=seed)
+            assert x.tobytes() == ref.tobytes()
+            np.testing.assert_array_equal(y, np.arange(n) % n_classes)
+
     def test_deterministic(self):
         a = synth_generate(40, seed=5)
         b = synth_generate(40, seed=5)
@@ -297,6 +341,27 @@ class TestConfigFile:
         bad = CONFIG_TEXT.replace("[train]", "[train]\naugment = maybe")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    def test_module_without_dims_rejected(self):
+        bad = "[net]\nfamily = encapnet\n[module1]\nstride = 2\n"
+        with pytest.raises(ConfigError, match=r"\[module1\] needs dim_in, dim_out"):
+            parse_config_text(bad)
+
+    @pytest.mark.parametrize("section, line, bad_line", [
+        ("module1", "dim_in = 2", "dim_in = abc"),
+        ("net", "n_classes = 4", "n_classes = ten"),
+        ("train", "lr = 0.002", "lr = fast"),
+        ("train", "schedule = 6, 9", "schedule = 6, nine"),
+    ])
+    def test_uncastable_value_rejected(self, section, line, bad_line):
+        key, value = bad_line.split(" = ")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{value}'"):
+            parse_config_text(CONFIG_TEXT.replace(line, bad_line, 1))
+
+    def test_percent_sign_is_a_plain_character(self):
+        text = CONFIG_TEXT.replace("source = synthetic", "dir = runs/100%\nsource = synthetic")
+        rc = parse_config_text(text)
+        assert rc.data.dir == "runs/100%"
 
     def test_load_config_reads_file(self, tmp_path):
         p = tmp_path / "run.ini"
