@@ -58,7 +58,12 @@ class CapConv(Layer):
     """Master/aide capsule conv layer; see module docstring.
 
     The gate is grouped by capsule: it maps each capsule's stacked master and
-    aide votes (2 * dim_out channels) to that capsule's two coefficients.
+    aide votes (2 * dim_out channels) to that capsule's two coefficients. Its
+    weight is the `gate` Conv2d's, applied by tensor.gate_logits, so the stack
+    is never held. A training forward keeps the votes v1 and v2, the gate
+    logits and coefficients, and three stage-sized arrays: the gated sum
+    (tensor.gated_sum), its BN-ReLU and their squash. Under no_grad the votes
+    are dropped once summed and BN writes over the sum.
     """
 
     _children = ("master", "aide", "gate", "bn")
@@ -81,34 +86,17 @@ class CapConv(Layer):
         return T.conv2d(x, self.aide.weight * self._mask, self.aide.stride,
                         self.aide.padding, self.aide.groups)
 
-    def _coefficients(self, v1: Tensor, v2: Tensor):
-        """Per-capsule sigmoid gates (m1, m2), each (B, caps, H, W)."""
-        c, d2 = self.spec.caps, self.spec.dim_out
-        b, _, h, w = v1.shape
-        a = T.reshape(v1, (b, c, d2, h, w))
-        bb = T.reshape(v2, (b, c, d2, h, w))
-        both = T.reshape(T.concat([a, bb], axis=2), (b, c * 2 * d2, h, w))
-        m = self.gate(both)                       # (B, 2*caps, H, W)
-        m = T.reshape(m, (b, c, 2, h, w))
-        m1 = T.reshape(T.slice_axis(m, 2, 0, 1), (b, c, h, w))
-        m2 = T.reshape(T.slice_axis(m, 2, 1, 2), (b, c, h, w))
-        return T.sigmoid(m1), T.sigmoid(m2)
-
     def __call__(self, x: Tensor) -> Tensor:
         spec = self.spec
         c, d1, d2 = spec.caps, spec.dim_in, spec.dim_out
         if x.shape[1] != c * d1:
             raise ShapeError(f"expected {c * d1} channels, got {x.shape[1]}")
         v1 = self.master(x)
-        v2 = self._aide_votes(x)
-        if v2.shape != v1.shape:
-            raise ShapeError(f"master {v1.shape} / aide {v2.shape} disagree")
-        b, _, h, w = v1.shape
-        m1, m2 = self._coefficients(v1, v2)
-        s = (T.reshape(m1, (b, c, 1, h, w)) * T.reshape(v1, (b, c, d2, h, w))
-             + T.reshape(m2, (b, c, 1, h, w)) * T.reshape(v2, (b, c, d2, h, w)))
-        out = self.bn(T.reshape(s, (b, c * d2, h, w)))
-        return grid_squash(out, c, d2)
+        v2 = self._aide_votes(x)  # gate_logits rejects a shape other than v1's
+        m = T.sigmoid(T.gate_logits(v1, v2, self.gate.weight, c))  # (B, 2*caps, H, W)
+        s = T.gated_sum(v1, v2, m)
+        del v1, v2, m  # under no_grad nothing else holds them
+        return grid_squash(self.bn(s, overwrite=True), c, d2)
 
 
 @dataclass

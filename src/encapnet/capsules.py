@@ -17,7 +17,8 @@ from .tensor import SQUASH_EPS, Tensor
 
 
 def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, as one node (tensor.squash)."""
+    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, as one node (tensor.squash)
+    that keeps only s and v."""
     return T.squash(s, axis)
 
 

@@ -57,6 +57,19 @@ def _case_capconv():
     return lambda: _sq_sum(block(x)), tensors
 
 
+def _case_capsule_gate():
+    """The CapConv gate alone: gate_logits, sigmoid and gated_sum."""
+    rng = seeded_rng(11, "gate")
+    v1, v2 = (Tensor(rng.normal(size=(2, 6, 3, 3))) for _ in range(2))
+    w = Tensor(rng.normal(size=(4, 6, 1, 1)))
+
+    def build():
+        m = T.sigmoid(T.gate_logits(v1, v2, w, 2))
+        return _sq_sum(T.gated_sum(v1, v2, m))
+
+    return build, [("v1", v1), ("v2", v2), ("w", w)]
+
+
 def _case_dynamic_routing(iters):
     """iters = 1 checks the closed-form first pass alone; 3 the logits too."""
     layer = CapNetLayer(caps_in=2, dim_in=2, caps_out=3, dim_out=3, out_hw=(1, 1),
@@ -146,6 +159,7 @@ CASES = {
     "capfc": _case_capfc,
     "margin_loss": _case_margin,
     "capconv_bn_relu_squash": _case_capconv,
+    "capsule_gate": _case_capsule_gate,
     "dynamic_routing_r1": partial(_case_dynamic_routing, 1),
     "dynamic_routing_r3": partial(_case_dynamic_routing, 3),
     "generator": _case_generator,
@@ -156,7 +170,7 @@ CASES = {
 GROUPS = {
     "core": ("squash", "capfc", "margin_loss"),
     "routing": ("dynamic_routing_r1", "dynamic_routing_r3"),
-    "capconv": ("capconv_bn_relu_squash",),
+    "capconv": ("capsule_gate", "capconv_bn_relu_squash"),
     "feedback": ("generator", "extractor", "ot_loss_stop_gradient"),
     "net": ("toy_net_total_loss",),
 }

@@ -99,10 +99,12 @@ class BatchNorm2d(Layer):
         self.add_buffer("running_mean", np.zeros(channels))
         self.add_buffer("running_var", np.ones(channels))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, overwrite: bool = False) -> Tensor:
+        """overwrite: x is the caller's fresh conv output, which nothing else
+        reads; under no_grad the result is written over it (batch_norm_relu)."""
         return T.batch_norm_relu(x, self.gamma, self.beta, self._buffers["running_mean"],
                                  self._buffers["running_var"], self.training,
-                                 self.eps, self.momentum)
+                                 self.eps, self.momentum, overwrite)
 
 
 class Linear(Layer):

@@ -8,6 +8,12 @@ walk releases it: its .grad, parents and rule are dropped, so the tape is freed
 as it is walked and only leaf grads outlive backward(); they keep accumulating
 until zeroed. Walking a released node again raises GraphReleased.
 
+What a node holds: its rule keeps the node's inputs and output alive, and an
+array beyond them only where recomputing it costs more than a cheap pass over
+those. conv2d keeps x and w, not its columns; batch_norm_relu recomputes
+x-hat from x, squash |s|^2 and its scale from s, and gate_logits its stacked
+input from v1 and v2, each with the forward's own ops, so bit for bit.
+
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
 False, so no input or intermediate buffer is kept alive for a backward pass.
@@ -490,19 +496,6 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), back, "matmul")
 
 
-def softmax(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
-
-    return _make(out_data, (a,), back, "softmax")
-
-
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
@@ -522,28 +515,35 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
 # -- normalisation ---------------------------------------------------------------
 
 def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
-                    eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                    eps: float = 1e-5, momentum: float = 0.1,
+                    overwrite: bool = False) -> Tensor:
     """relu(xhat * gamma + beta), xhat = (x - mean) / sqrt(var + eps) per channel
     of (B,C,H,W), as one node. Training takes the biased batch statistics over
     (B,H,W) and updates the running ones in place, r <- (1 - momentum) r +
     momentum * stat, with the unbiased variance; eval folds the running ones
     into out = x * scale + shift. Backward masks g by out > 0, then takes the
     closed form dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)) in
-    training and dx = g * scale in eval."""
+    training and dx = g * scale in eval.
+
+    The node keeps x, its output and per-channel statistics: the backward
+    recomputes xhat from x with the forward's own ops, so it is bitwise the
+    forward's. overwrite says x's array is the caller's own temporary; when
+    no tape is recorded (no_grad) the result is then written over it.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm_relu expects a 4-D input, got {x.data.shape}")
     b, c, h, w = x.data.shape
     n = b * h * w
     x3 = x.data.reshape(b, c, h * w)
+    out = x3 if overwrite and not _grad_enabled else None
     if training:
         mean = x3.sum(axis=(0, 2)) * (1.0 / n)
-        xhat = x3 - mean[:, None]
-        out = xhat * xhat
-        var = out.sum(axis=(0, 2)) * (1.0 / n)
+        out = np.subtract(x3, mean[:, None], out=out)
+        var = (out * out).sum(axis=(0, 2)) * (1.0 / n)
         std = np.sqrt(var + eps)
-        xhat /= std[:, None]
-        np.multiply(xhat, gamma.data[:, None], out=out)
+        out /= std[:, None]
+        out *= gamma.data[:, None]
         out += beta.data[:, None]
         running_mean[...] = (1 - momentum) * running_mean + momentum * mean
         running_var[...] = (1 - momentum) * running_var + momentum * (var * (n / max(n - 1, 1)))
@@ -551,15 +551,16 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
         mean = running_mean.copy()
         std = np.sqrt(running_var + eps)
         scale = gamma.data / std
-        out = x3 * scale[:, None]
+        out = np.multiply(x3, scale[:, None], out=out)
         out += (beta.data - mean * scale)[:, None]
     np.maximum(out, 0, out=out)
 
     def back(g):
         gm = g.reshape(out.shape) * (out > 0)
         gsum = gm.sum(axis=(0, 2))
-        xh = xhat if training else (x3 - mean[:, None]) / std[:, None]
-        t = gm * xh
+        xhat = x.data.reshape(out.shape) - mean[:, None]
+        xhat /= std[:, None]
+        t = gm * xhat
         gxsum = t.sum(axis=(0, 2))
         beta._accumulate(gsum)
         gamma._accumulate(gxsum)
@@ -589,14 +590,107 @@ def _squash_grad(s, n, k, g, axis: int) -> np.ndarray:
 
 
 def squash(s, axis: int = -1) -> Tensor:
-    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, eps-guarded at the origin."""
+    """v = (|s|^2 / (1+|s|^2)) * s/|s| along axis, eps-guarded at the origin.
+
+    The node keeps s and v: the backward recomputes n and k from s.
+    """
     s = as_tensor(s)
-    n, k = _squash_scale(s.data, axis)
+    _, k = _squash_scale(s.data, axis)
 
     def back(g):
-        s._accumulate(_squash_grad(s.data, n, k, g, axis))
+        s._accumulate(_squash_grad(s.data, *_squash_scale(s.data, axis), g, axis))
 
     return _make(s.data * k, (s,), back, "squash")
+
+
+def _image_blocks(b: int, image_bytes: int) -> list:
+    """Slices of a batch of b into blocks of images whose image_bytes each
+    fit in COLS_BLOCK_BYTES; a block holds at least one image."""
+    step = max(1, COLS_BLOCK_BYTES // image_bytes)
+    return [slice(lo, lo + step) for lo in range(0, b, step)]
+
+
+def gate_logits(v1, v2, w, groups: int) -> Tensor:
+    """Grouped 1x1 conv w over each group's v1 channels stacked on its v2 ones.
+
+    v1, v2: (B, G*d, H, W); w: (G*o, 2*d, 1, 1). Equal, bit for bit, to
+    conv2d(x, w, groups=G) on the blob x whose group g is [v1_g; v2_g]. The
+    node keeps v1 and v2, not x: forward and backward build x in blocks of
+    images of at most COLS_BLOCK_BYTES, one matmul per block.
+    """
+    v1, v2, w = as_tensor(v1), as_tensor(v2), as_tensor(w)
+    if v1.data.shape != v2.data.shape:
+        raise ShapeError(f"stacked inputs disagree: {v1.data.shape} vs {v2.data.shape}")
+    b, cd, h, wd = v1.data.shape
+    d = cd // groups
+    if cd % groups or w.data.shape[0] % groups or w.data.shape[1:] != (2 * d, 1, 1):
+        raise ShapeError(f"weight {w.data.shape} is no 1x1 kernel over {groups} groups "
+                         f"of stacked {v1.data.shape} inputs")
+    wmat = w.data.reshape(groups, -1, 2 * d)
+    blocks = _image_blocks(b, 8 * 2 * cd * h * wd)
+
+    def per_group(a, blk):  # (n, G*d, H, W) block -> (n, G, d, H*W) view
+        return a[blk].reshape(-1, groups, d, h * wd)
+
+    def stacked(blk):
+        return np.concatenate([per_group(v1.data, blk), per_group(v2.data, blk)], axis=2)
+
+    out = np.empty((b, groups, wmat.shape[1], h * wd))
+    for blk in blocks:
+        np.matmul(wmat, stacked(blk), out=out[blk])
+
+    def back(g):
+        gy = g.reshape(out.shape)
+        gw, g1, g2 = np.zeros(wmat.shape), np.empty(v1.data.shape), np.empty(v2.data.shape)
+        for blk in blocks:
+            x = stacked(blk)
+            if w.requires_grad:
+                for gwi in np.matmul(gy[blk], x.swapaxes(-1, -2)):
+                    gw += gwi
+            np.matmul(wmat.swapaxes(-1, -2), gy[blk], out=x)
+            per_group(g1, blk)[...] = x[:, :, :d]
+            per_group(g2, blk)[...] = x[:, :, d:]
+        w._accumulate(gw.reshape(w.data.shape))
+        v1._accumulate(g1)
+        v2._accumulate(g2)
+
+    return _make(out.reshape(b, -1, h, wd), (v1, v2, w), back, "gate_logits")
+
+
+def gated_sum(v1, v2, m) -> Tensor:
+    """s = m1 * v1 + m2 * v2 per capsule, as one node.
+
+    v1, v2: (B, G*d, H, W), G capsules of d channels each; m: (B, 2*G, H, W)
+    holds capsule g's coefficients m1, m2 at channels 2g and 2g+1. The node
+    keeps only its inputs and s; backward: gv1 = m1 g, gv2 = m2 g and
+    gm1 = sum over the d channels of g v1 (gm2 likewise with v2).
+    """
+    v1, v2, m = as_tensor(v1), as_tensor(v2), as_tensor(m)
+    if v1.data.shape != v2.data.shape:
+        raise ShapeError(f"gated inputs disagree: {v1.data.shape} vs {v2.data.shape}")
+    b, cd, h, w = v1.data.shape
+    caps = m.data.shape[1] // 2
+    if caps < 1 or m.data.shape != (b, 2 * caps, h, w) or cd % caps:
+        raise ShapeError(f"coefficients {m.data.shape} do not gate votes {v1.data.shape}")
+    shape = (b, caps, cd // caps, h, w)
+    mm = m.data.reshape(b, caps, 2, h, w)
+    m1, m2 = mm[:, :, 0:1], mm[:, :, 1:2]
+    out = np.empty(shape)
+    for blk in _image_blocks(b, 8 * cd * h * w):  # the m2 v2 temporary is one block
+        np.multiply(m1[blk], v1.data[blk].reshape(-1, *shape[1:]), out=out[blk])
+        out[blk] += m2[blk] * v2.data[blk].reshape(-1, *shape[1:])
+
+    def back(g):
+        g = g.reshape(shape)
+        if m.requires_grad:
+            gm = np.empty(mm.shape)
+            gm[:, :, 0] = (g * v1.data.reshape(shape)).sum(axis=2)
+            gm[:, :, 1] = (g * v2.data.reshape(shape)).sum(axis=2)
+            m._accumulate(gm.reshape(m.data.shape))
+        v1._accumulate((g * m1).reshape(v1.data.shape))
+        v2._accumulate((g * m2).reshape(v2.data.shape))
+
+    return _make(out.reshape(v1.data.shape), (v1, v2, m), back, "gated_sum")
 
 
 def route_by_agreement(poses, transforms, iters: int) -> Tensor:
@@ -822,9 +916,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     _check_conv_channels(cin, cout, groups, w.data.shape)
     ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(wd, k, stride, padding)
     _, wq = _phase_shape(k, stride, ho, wo)
-    step = b if _is_pointwise(k, stride, padding) else max(
-        1, COLS_BLOCK_BYTES // (8 * cin * k * k * ho * wq))
-    blocks = [slice(lo, lo + step) for lo in range(0, b, step)]
+    blocks = ([slice(0, b)] if _is_pointwise(k, stride, padding)
+              else _image_blocks(b, 8 * cin * k * k * ho * wq))
     wmat = w.data.reshape(groups, cout // groups, -1)
 
     def lower(blk):
@@ -833,7 +926,10 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
 
     out = np.empty((b, cout, ho, wo))
     for blk in blocks:
-        out[blk] = np.matmul(wmat, lower(blk)).reshape(-1, cout, ho, wq)[..., :wo]
+        if wq == wo:  # no junk columns: the product is the output
+            np.matmul(wmat, lower(blk), out=out[blk].reshape(-1, groups, cout // groups, ho * wo))
+        else:
+            out[blk] = np.matmul(wmat, lower(blk)).reshape(-1, cout, ho, wq)[..., :wo]
 
     def back(g):
         gw = np.zeros(wmat.shape)

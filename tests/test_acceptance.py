@@ -144,16 +144,16 @@ def test_sinkhorn_invariants():
 
 def test_gradient_suite_every_layer():
     # central differences at 64-bit over every building block: squash, capFC,
-    # margin loss, capConv with BN-ReLU-squash, R=1 and R=3 dynamic routing,
-    # generator, extractor, ot_loss under stop-gradient, and a 2-module net
-    # with the total loss
+    # margin loss, the capsule gate, capConv with BN-ReLU-squash, R=1 and R=3
+    # dynamic routing, generator, extractor, ot_loss under stop-gradient, and
+    # a 2-module net with the total loss
     t0 = time.perf_counter()
     rows = run_suite(GROUPS["all"])
     elapsed = time.perf_counter() - t0
     for name, err, tol, passed, note in rows:
         assert passed, f"{name}: rel err {err:.3e} >= {tol:g} {note}"
         assert err < 1e-4
-    assert len(rows) == len(GROUPS["all"]) == 10
+    assert len(rows) == len(GROUPS["all"]) == 11
     assert elapsed < 300.0
     worst = max(rows, key=lambda r: r[1])
     print(f"{len(rows)} cases, worst {worst[0]} rel err {worst[1]:.2e}, {elapsed:.1f}s")

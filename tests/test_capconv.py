@@ -1,5 +1,7 @@
 """Master/aide one-pass capsule convolution: masks, gates, module assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,24 @@ from encapnet.tensor import Tensor, seeded_rng
 def make_layer(caps=3, dim_in=4, dim_out=4, stride=1, seed=0):
     spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1)
     return CapConv(spec, seed=seed)
+
+
+def stacked_gate_reference(v1, v2, w, caps):
+    """The gate as conv2d on the per-capsule stack [v1_c; v2_c] of the votes."""
+    b, cd, h, wd = v1.shape
+    shape = (b, caps, cd // caps, h, wd)
+    both = T.concat([T.reshape(v1, shape), T.reshape(v2, shape)], axis=2)
+    return T.conv2d(T.reshape(both, (b, 2 * cd, h, wd)), w, 1, 0, caps)
+
+
+def gated_sum_reference(v1, v2, m, caps):
+    """m1 * v1 + m2 * v2 from broadcast ops on per-capsule slices of m."""
+    b, cd, h, wd = v1.shape
+    shape = (b, caps, cd // caps, h, wd)
+    mm = T.reshape(m, (b, caps, 2, h, wd))
+    s = (T.slice_axis(mm, 2, 0, 1) * T.reshape(v1, shape)
+         + T.slice_axis(mm, 2, 1, 2) * T.reshape(v2, shape))
+    return T.reshape(s, v1.shape)
 
 
 class TestSpecValidation:
@@ -113,6 +133,75 @@ class TestForward:
         caps = out.data.reshape(2, c, d2, 4, 4)
         norms = np.sqrt((caps ** 2).sum(axis=2))
         assert norms.max() < 1.0
+
+
+class TestGate:
+    B, CAPS, D, HW = 5, 3, 4, 3
+
+    def _inputs(self, tag):
+        rng = seeded_rng(0, "gate", tag)
+        shape = (self.B, self.CAPS * self.D, self.HW, self.HW)
+        v1, v2 = (Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2))
+        return v1, v2, rng
+
+    def _compare(self, fns, inputs, probe_shape, rng):
+        probe = T.constant(rng.normal(size=probe_shape))
+        results = []
+        for fn in fns:
+            for t in inputs:
+                t.zero_grad()
+            y = fn(*inputs)
+            T.tsum(y * probe).backward()
+            results.append([y.data] + [t.grad for t in inputs])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_logits_bitwise_equal_to_conv_on_the_stack(self, monkeypatch):
+        # two images fill a block, so the batch spans three blocks
+        monkeypatch.setattr(T, "COLS_BLOCK_BYTES", 2 * 8 * 2 * self.CAPS * self.D * self.HW ** 2)
+        v1, v2, rng = self._inputs("logits")
+        w = Tensor(rng.normal(size=(2 * self.CAPS, 2 * self.D, 1, 1)), requires_grad=True)
+        self._compare([lambda a, b, c: T.gate_logits(a, b, c, self.CAPS),
+                       lambda a, b, c: stacked_gate_reference(a, b, c, self.CAPS)],
+                      (v1, v2, w), (self.B, 2 * self.CAPS, self.HW, self.HW), rng)
+
+    def test_gated_sum_bitwise_equal_to_broadcast_ops(self, monkeypatch):
+        monkeypatch.setattr(T, "COLS_BLOCK_BYTES", 2 * 8 * self.CAPS * self.D * self.HW ** 2)
+        v1, v2, rng = self._inputs("sum")
+        m = Tensor(rng.uniform(size=(self.B, 2 * self.CAPS, self.HW, self.HW)),
+                   requires_grad=True)
+        self._compare([T.gated_sum, lambda a, b, c: gated_sum_reference(a, b, c, self.CAPS)],
+                      (v1, v2, m), v1.shape, rng)
+
+    def test_master_only_coefficients_reproduce_the_master_votes(self):
+        v1, v2, _ = self._inputs("master")
+        m = np.zeros((self.B, 2 * self.CAPS, self.HW, self.HW))
+        m[:, 0::2] = 1.0
+        np.testing.assert_array_equal(T.gated_sum(v1, v2, Tensor(m)).data, v1.data)
+
+    def test_rejects_mismatched_shapes(self):
+        v1, v2, _ = self._inputs("shape")
+        with pytest.raises(ShapeError):
+            # five coefficient pairs cannot split 12 channels into capsules
+            T.gated_sum(v1, v2, Tensor(np.zeros((self.B, 10, self.HW, self.HW))))
+        with pytest.raises(ShapeError):
+            T.gate_logits(v1, v2, Tensor(np.zeros((2 * self.CAPS, 2 * self.D, 3, 3))),
+                          self.CAPS)
+
+    def test_training_forward_holds_votes_gate_and_three_stages(self):
+        # v1, v2, the gated sum, its BN-ReLU and their squash are one stage
+        # each; the gate's logits and coefficients are (B, 2*caps, H, W)
+        layer = make_layer(caps=4, dim_in=4, dim_out=8)
+        x = Tensor(seeded_rng(10, "x").normal(size=(8, 16, 12, 12)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        gate = 2 * out.data.nbytes * 2 // layer.spec.dim_out
+        assert held <= 5 * out.data.nbytes + gate + (64 << 10), held
 
 
 class TestEncapModule:

@@ -1,5 +1,7 @@
 """Capsule primitives: squash, grid layout, margin loss, capFC, predict."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestSquashNode:
         T.tsum(T.squash(s, -1) * T.constant(np.ones((3, 4)))).backward()
         assert np.all(np.isfinite(s.grad))
         np.testing.assert_array_equal(s.grad, 0.0)
+
+    def test_node_holds_nothing_beyond_its_output(self):
+        # 2-dim capsules: |s|^2 and the scale would each be half of s
+        s = Tensor(seeded_rng(4, "sq").normal(size=(16, 8, 2, 16, 16)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = T.squash(s, 2)
+            held = tracemalloc.get_traced_memory()[0] - before - v.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 << 10, held
 
     @pytest.mark.parametrize("norm", [1e-9, 1e6])
     def test_gradient_matches_three_ops_at_extreme_norms(self, norm):

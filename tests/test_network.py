@@ -3,11 +3,13 @@
 import itertools
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from encapnet import tensor as T
+from encapnet.capsules import margin_loss
 from encapnet.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from encapnet.configfile import load_config
 from encapnet.errors import ConfigError, DataFormatError
@@ -17,6 +19,8 @@ from encapnet.network import (FAMILIES, OT_KINDS, CapNet, EncapNet, ModuleSpec,
 from encapnet.optim import Adam
 from encapnet.sinkhorn import OTConfig
 from encapnet.tensor import Tensor, seeded_rng
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def small_cfg(**kw):
@@ -114,10 +118,9 @@ class TestAssembly:
     def test_every_family_built_by_a_shipped_config(self):
         # every option has a caller: a family or feedback kind that no config
         # builds is dead code
-        configs = os.path.join(os.path.dirname(__file__), "..", "configs")
         built, kinds = set(), set()
-        for name in os.listdir(configs):
-            rc = load_config(os.path.join(configs, name))
+        for name in os.listdir(CONFIGS):
+            rc = load_config(os.path.join(CONFIGS, name))
             built.add(build_network(rc.net, seed=0).cfg.family)
             kinds.update(k for m in rc.net.modules for k in m.ot)
         assert built == set(FAMILIES)
@@ -165,6 +168,60 @@ class TestAssembly:
                     block = mask[cap * d2:(cap + 1) * d2, cap * d1:(cap + 1) * d1]
                     np.testing.assert_array_equal(block, 0.0)
                 assert mask.sum() == mask.size - c * d2 * d1
+
+
+def shipped_network(name):
+    return build_network(load_config(os.path.join(CONFIGS, name)).net, seed=0)
+
+
+def training_forward(net, b):
+    """(total loss, bytes the forward leaves allocated: its tape)."""
+    rng = seeded_rng(b, "tape")
+    x = Tensor(rng.normal(size=(b, 1, 28, 28)))
+    labels = rng.integers(0, net.cfg.n_classes, size=b)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        caps, ots = net(x, with_feedback=True)
+        loss = margin_loss(caps, labels)
+        for val in itertools.chain(*ots):
+            loss = loss + 10.0 * val
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return loss, held
+
+
+class TestMemory:
+    def test_synth_quick_training_tape(self):
+        # the batch-32 step synth_train runs, feedback on
+        _, held = training_forward(shipped_network("synth_quick.ini"), 32)
+        assert held <= 16.5e6, held
+
+    def test_synth_quick_eval_forward_peak(self):
+        # the batch-128 evaluation synth_train runs: one buffer per stage
+        net = shipped_network("synth_quick.ini")
+        net.set_mode(False)
+        x = Tensor(seeded_rng(0, "eval").normal(size=(128, 1, 28, 28)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.no_grad():
+                net(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, peak
+
+    def test_encapnet18_training_step(self):
+        # the paper's 18-layer topology, which no benchmark workload runs;
+        # its batch-2 tape measured 69.3 MB, the ceiling is 25% above it
+        net = shipped_network("encapnet18.ini")
+        loss, held = training_forward(net, 2)
+        assert held <= 1.25 * 69.3e6, held
+        loss.backward()
+        for name, p in net.named_params():
+            assert p.grad is not None and np.isfinite(p.grad).all(), name
 
 
 class TestParameterTable:

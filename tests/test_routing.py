@@ -27,13 +27,20 @@ def squash_ops(s, axis=-1):
     return s * (nsq / (1.0 + nsq) / T.sqrt(nsq + SQUASH_EPS))
 
 
+def softmax(a, axis):
+    """Softmax from tape ops, so the reference routing stays differentiable;
+    the max shift is a constant, which the softmax does not see."""
+    e = T.exp(a - T.constant(a.data.max(axis=axis, keepdims=True)))
+    return e / T.tsum(e, axis=axis, keepdims=True)
+
+
 def reference_routing(votes, iters):
     """Dynamic routing unrolled on the tape op by op: (v, every iterate's coeff)."""
     b, n1, n2, d2 = votes.shape
     logits = T.constant(np.zeros((b, n1, n2)))
     coeffs = []
     for _ in range(iters):
-        coeff = T.softmax(logits, axis=1)
+        coeff = softmax(logits, axis=1)
         coeffs.append(coeff.data)
         s = T.tsum(T.reshape(coeff, (b, n1, n2, 1)) * votes, axis=1)
         v = squash_ops(s, axis=-1)
@@ -49,6 +56,14 @@ def reference_mapping(m, x):
     y = T.reshape(y, (b, m.caps_in, m.n_out, m.dim_out, h, w))
     y = T.transpose(y, (0, 1, 4, 5, 2, 3))
     return T.reshape(y, (b, m.caps_in * h * w, m.n_out, m.dim_out))
+
+
+class TestReferenceSoftmax:
+    def test_softmax_rows_sum_to_one(self):
+        rng = seeded_rng(0, "softmax")
+        x = Tensor(rng.normal(size=(6, 7)) * 30)
+        s = softmax(x, axis=1).data
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestDynamicRouting:

@@ -91,12 +91,6 @@ class TestElementwise:
         y.backward()
         assert np.array_equal(x.grad, [0.0, 1.0])
 
-    def test_softmax_rows_sum_to_one(self):
-        rng = seeded_rng(0, "softmax")
-        x = Tensor(rng.normal(size=(6, 7)) * 30)
-        s = T.softmax(x, axis=1).data
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
-
     def test_logsumexp_matches_numpy(self):
         rng = seeded_rng(0, "lse")
         x = rng.normal(size=(4, 9)) * 20
@@ -311,6 +305,27 @@ class TestConv:
         assert eval_peak < 4 * T.COLS_BLOCK_BYTES, eval_peak
         assert held <= 1e6, held
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pointwise_product_is_the_output(self, stride):
+        # no junk columns: the matmul writes the output bit for bit, with no
+        # product temporary to copy from; unstrided, x itself is the columns
+        rng = seeded_rng(stride, "pointwise")
+        x = Tensor(rng.normal(size=(64, 32, 14, 14)))
+        w = Tensor(rng.normal(size=(64, 8, 1, 1)))
+        cols = T._im2col(x.data, 1, stride, 0)
+        ho = 14 // stride
+        want = np.matmul(w.data.reshape(4, 16, 8), cols.reshape(64, 4, 8, ho * ho))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.no_grad():
+                y = T.conv2d(x, w, stride, 0, 4)
+            extra = tracemalloc.get_traced_memory()[1] - before - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(y.data, want.reshape(y.shape))
+        assert stride > 1 or extra <= 64 << 10, extra
+
     def test_transpose_keeps_only_its_input_on_the_tape(self):
         # a 3x3 kernel widens the input to the lowered row width, a 0.9 MiB
         # copy here: the training node must hold no more than the eval output
@@ -438,6 +453,34 @@ class TestBatchNorm:
         for i in range(x.shape[0]):
             alone = T.batch_norm_relu(Tensor(x.data[i:i + 1]), gamma, beta, rm, rv, False)
             np.testing.assert_array_equal(alone.data[0], batch[i])
+
+    def test_training_node_holds_nothing_beyond_its_output(self):
+        # x-hat is as large as x: the backward recomputes it from x
+        x, gamma, beta, rng = self._inputs("held", shape=(8, 16, 16, 16))
+        rm, rv = self._running(rng, 16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.batch_norm_relu(x, gamma, beta, rm, rv, True)
+            held = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 << 10, held
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_overwrite_only_where_no_tape_records(self, training):
+        x, gamma, beta, rng = self._inputs("overwrite")
+        rm, rv = self._running(rng, x.shape[1])
+        want = T.batch_norm_relu(x, gamma, beta, rm.copy(), rv.copy(), training).data
+        y = T.batch_norm_relu(x, gamma, beta, rm.copy(), rv.copy(), training, overwrite=True)
+        np.testing.assert_array_equal(y.data, want)
+        assert not np.shares_memory(y.data, x.data)
+        scratch = Tensor(x.data.copy())
+        with T.no_grad():
+            y = T.batch_norm_relu(scratch, gamma, beta, rm.copy(), rv.copy(), training,
+                                  overwrite=True)
+        np.testing.assert_array_equal(y.data, want)
+        assert np.shares_memory(y.data, scratch.data)
 
     def test_layer_training_path_is_one_node(self):
         from encapnet.layers import BatchNorm2d
