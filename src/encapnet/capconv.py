@@ -96,7 +96,7 @@ class CapConv(Layer):
         m = T.sigmoid(T.gate_logits(v1, v2, self.gate.weight, c))  # (B, 2*caps, H, W)
         s = T.gated_sum(v1, v2, m)
         del v1, v2, m  # under no_grad nothing else holds them
-        return grid_squash(self.bn(s, overwrite=True), c, d2)
+        return grid_squash(self.bn(s), c, d2)
 
 
 @dataclass

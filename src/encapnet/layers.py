@@ -89,7 +89,12 @@ class Conv2d(Layer):
 
 class BatchNorm2d(Layer):
     """Per-channel batch norm over (B,H,W) that ends in ReLU, one batch_norm_relu
-    node (every conv stage here is conv -> BN -> ReLU); eps 1e-5, momentum 0.1."""
+    node (every conv stage here is conv -> BN -> ReLU); eps 1e-5, momentum 0.1.
+
+    Its input is always the fresh output of the conv before it (CapConv's
+    gated sum, Generator's transposed conv), which nothing else reads, so
+    under no_grad the result is written over it.
+    """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -99,12 +104,10 @@ class BatchNorm2d(Layer):
         self.add_buffer("running_mean", np.zeros(channels))
         self.add_buffer("running_var", np.ones(channels))
 
-    def __call__(self, x: Tensor, overwrite: bool = False) -> Tensor:
-        """overwrite: x is the caller's fresh conv output, which nothing else
-        reads; under no_grad the result is written over it (batch_norm_relu)."""
+    def __call__(self, x: Tensor) -> Tensor:
         return T.batch_norm_relu(x, self.gamma, self.beta, self._buffers["running_mean"],
                                  self._buffers["running_var"], self.training,
-                                 self.eps, self.momentum, overwrite)
+                                 self.eps, self.momentum, overwrite=True)
 
 
 class Linear(Layer):

@@ -155,7 +155,7 @@ class Stem(Layer):
 
     def __call__(self, x: Tensor) -> Tensor:
         for conv, bn in zip(self.convs, self.bns):
-            x = bn(conv(x), overwrite=True)
+            x = bn(conv(x))
         return x
 
 
@@ -287,7 +287,7 @@ class VanillaCNN(Layer):
     def __call__(self, x: Tensor, with_feedback: bool = False):
         h = self.stem(x)
         for conv, bn in zip(self.convs, self.bns):
-            h = bn(conv(h), overwrite=True)
+            h = bn(conv(h))
         pooled = T.tmean(h, axis=(2, 3))
         logits = self.fc(pooled)
         caps = logits.reshape((logits.shape[0], self.cfg.n_classes, 1))

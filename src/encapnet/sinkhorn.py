@@ -166,7 +166,7 @@ class Generator(Layer):
             raise ConfigError(
                 f"generator stride {self.stride} cannot map {(h, w)} onto {(th, tw)}")
         y = T.conv_transpose2d(v, self.weight, self.stride, 1, opad_h, self.groups)
-        y = self.bn(y, overwrite=True)
+        y = self.bn(y)
         return grid_squash(y, self.caps_out, self.dim_out)
 
 
@@ -186,8 +186,8 @@ class Extractor(Layer):
         self.bn2 = BatchNorm2d(1)
 
     def __call__(self, u: Tensor) -> Tensor:
-        y = self.bn1(self.conv1(u), overwrite=True)
-        y = self.bn2(self.conv2(y), overwrite=True)
+        y = self.bn1(self.conv1(u))
+        y = self.bn2(self.conv2(y))
         return T.reshape(y, (y.shape[0], -1))
 
 
