@@ -56,6 +56,8 @@ def load_idx(path: str) -> np.ndarray:
 
 
 def save_idx(path: str, arr: np.ndarray) -> None:
+    """The package's exported IDX writer, the inverse of load_idx: (N, H, W)
+    images, uint8 or floats in [0, 1], or (N,) labels that fit in a byte."""
     if arr.ndim == 3:
         if arr.dtype == np.uint8:
             body = arr

@@ -10,9 +10,11 @@ until zeroed. Walking a released node again raises GraphReleased.
 
 What a node holds: its rule keeps the node's inputs and output alive, and an
 array beyond them only where recomputing it costs more than a cheap pass over
-those. conv2d keeps x and w, not its columns; batch_norm_relu recomputes
-x-hat from x, squash |s|^2 and its scale from s, and gate_logits its stacked
-input from v1 and v2, each with the forward's own ops, so bit for bit.
+those. conv2d and conv_transpose2d keep x and w; both run on one blocked
+lowering and one blocked scatter, so no call holds a whole batch's columns.
+batch_norm_relu recomputes x-hat from x, squash |s|^2 and its scale from s,
+and gate_logits its stacked input from v1 and v2, each with the forward's
+own ops, so bit for bit.
 
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
@@ -800,14 +802,25 @@ def _phase_shape(k: int, stride: int, ho: int, wo: int):
     return ho + q + 1, wo + q
 
 
-def _is_pointwise(k: int, stride: int, pad: int) -> bool:
-    return k == 1 and stride == 1 and pad == 0
-
-
 def _tap_offsets(k: int, stride: int, wq: int):
     """(tap row, tap col, phase row, phase col, flat offset) of every tap."""
     return [(ki, kj, ki % stride, kj % stride, (ki // stride) * wq + kj // stride)
             for ki in range(k) for kj in range(k)]
+
+
+def _phases(k: int, stride: int, pad: int, hq: int, wq: int, h: int, w: int):
+    """(input index, phase index) of each phase image (pi, pj), which holds
+    xp[pi::s, pj::s] of the zero-padded input xp; the pair selects x's part."""
+    def axis(p, q, n):  # (input slice, phase slice) along an axis of length n
+        a0 = max(0, -((p - pad) // stride))
+        r0 = a0 * stride + p - pad
+        count = max(0, min(q - a0, -((r0 - n) // stride)))
+        return slice(r0, r0 + count * stride, stride), slice(a0, a0 + count)
+
+    n = min(stride, k)
+    return [((..., xr, xc), (pi, pj, ..., ar, ac))
+            for pi, (xr, ar) in enumerate(axis(p, hq, h) for p in range(n))
+            for pj, (xc, ac) in enumerate(axis(p, wq, w) for p in range(n))]
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -815,26 +828,22 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
 
     The zero-padded input is split into stride x stride phase images of
     width Wq = Wo + (k-1)//stride (x[pi::s, pj::s] for phase (pi, pj)), each
-    flattened. In a flattened phase image the patch rows of one tap for all
-    Ho output rows are one contiguous run of Ho*Wq values, so each tap is a
-    single copy. Column j >= Wo of each output row is junk that callers crop.
-    A 1x1, stride-1, unpadded conv uses x itself as its columns.
+    filled by one copy from a strided slice of x and flattened. In a
+    flattened phase image the patch rows of one tap for all Ho output rows
+    are one contiguous run of Ho*Wq values, so each tap is a single copy.
+    Column j >= Wo of each output row is junk that callers crop. A 1x1
+    unpadded conv takes x[:, :, ::s, ::s], x itself at stride 1, as columns.
     """
     b, c, h, w = x.shape
-    ho = conv_out_size(h, k, stride, pad)
-    wo = conv_out_size(w, k, stride, pad)
-    if _is_pointwise(k, stride, pad):
-        return x.reshape(b, c, h * w)
-    s = stride
+    ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    if k == 1 and pad == 0:
+        return x[:, :, ::stride, ::stride].reshape(b, c, ho * wo)
+    s, n = stride, min(stride, k)
     hq, wq = _phase_shape(k, s, ho, wo)
-    # rows and columns past s*hq, s*wq are never under any tap
-    hh, ww = min(h, s * hq - pad), min(w, s * wq - pad)
-    xp = np.zeros((b, c, s * hq, s * wq), dtype=x.dtype)
-    xp[:, :, pad:pad + hh, pad:pad + ww] = x[:, :, :hh, :ww]
-    n = min(s, k)
-    phases = np.ascontiguousarray(
-        xp.reshape(b, c, hq, s, wq, s)[:, :, :, :n, :, :n].transpose(3, 5, 0, 1, 2, 4)
-    ).reshape(n, n, b, c, hq * wq)
+    phases = np.zeros((n, n, b, c, hq, wq), dtype=x.dtype)
+    for xi, qi in _phases(k, s, pad, hq, wq, h, w):
+        phases[qi] = x[xi]
+    phases = phases.reshape(n, n, b, c, hq * wq)
     span = ho * wq
     cols = np.empty((b, c, k, k, span), dtype=x.dtype)
     for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
@@ -842,16 +851,15 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return cols.reshape(b, c * k * k, span)
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int,
-            ho: int, wo: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto (B,C,H,W).
+def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, pad: int,
+            ho: int, wo: int) -> None:
+    """Adjoint of _im2col: scatter-add columns onto the (B,C,H,W) out.
 
     Junk columns must hold zeros; they land on real pixels of the phase
-    images and add nothing there.
+    images and add nothing there. Each phase image is copied into a strided
+    slice of out, and pixels under no tap are zeroed.
     """
-    b, c, h, w = x_shape
-    if _is_pointwise(k, stride, pad):
-        return cols.reshape(x_shape)
+    b, c, h, w = out.shape
     s, n = stride, min(stride, k)
     hq, wq = _phase_shape(k, s, ho, wo)
     span = ho * wq
@@ -860,17 +868,11 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int,
     for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
         phases[pi, pj, :, :, off:off + span] += cols[:, :, ki, kj]
     phases = phases.reshape(n, n, b, c, hq, wq)
-    if s == 1:
-        xp = phases[0, 0]
-    else:
-        xp = np.zeros((b, c, s * hq, s * wq), dtype=cols.dtype)
-        xp.reshape(b, c, hq, s, wq, s)[:, :, :, :n, :, :n] = phases.transpose(2, 3, 4, 0, 5, 1)
-    hh, ww = min(h, s * hq - pad), min(w, s * wq - pad)
-    if (hh, ww) == (h, w):
-        return xp[:, :, pad:pad + h, pad:pad + w]
-    x = np.zeros(x_shape, dtype=cols.dtype)
-    x[:, :, :hh, :ww] = xp[:, :, pad:pad + hh, pad:pad + ww]
-    return x
+    index = _phases(k, s, pad, hq, wq, h, w)
+    if sum(phases[qi].size for _, qi in index) < out.size:  # pixels under no tap
+        out.fill(0.0)
+    for xi, qi in index:
+        out[xi] = phases[qi]
 
 
 def _widen(y: np.ndarray, wq: int) -> np.ndarray:
@@ -883,18 +885,50 @@ def _widen(y: np.ndarray, wq: int) -> np.ndarray:
     return out.reshape(b, c, h * wq)
 
 
-def _crop(y: np.ndarray, ho: int, wq: int, wo: int) -> np.ndarray:
-    """(B,C,ho*wq) lowered output -> contiguous (B,C,ho,wo)."""
-    b, c = y.shape[:2]
-    y = y.reshape(b, c, ho, wq)
-    return y if wq == wo else np.ascontiguousarray(y[..., :wo])
+def _conv_geometry(x_shape, k: int, stride: int, pad: int):
+    """(Ho, Wo, Wq, blocks) of conv2d on an x_shape input. blocks slice the
+    batch into blocks of images whose columns fit in COLS_BLOCK_BYTES; a 1x1
+    unpadded conv's columns are x itself (one block) or, strided, per image."""
+    b, c, h, w = x_shape
+    ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    _, wq = _phase_shape(k, stride, ho, wo)
+    if k == 1 and pad == 0:
+        blocks = [slice(0, b)] if stride == 1 else [slice(i, i + 1) for i in range(b)]
+    else:
+        blocks = _image_blocks(b, 8 * c * k * k * ho * wq)
+    return ho, wo, wq, blocks
 
 
-def _check_conv_channels(cin, cout, groups, w_shape):
-    if cin % groups or cout % groups:
-        raise ShapeError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-    if w_shape[1] != cin // groups:
-        raise ShapeError(f"weight expects {w_shape[1]} channels/group, input has {cin // groups}")
+def _lowered(x, wmat, k: int, stride: int, pad: int, out=None, dy=None, gw=None) -> None:
+    """conv2d of x by the weight wmat (G, Cout/G, Cin/G*k*k), lowering each
+    block of images once: writes the output into out (C order) and/or adds
+    into gw the weight gradient for the output gradient dy, image by image."""
+    ho, wo, wq, blocks = _conv_geometry(x.shape, k, stride, pad)
+    groups, per_group, kk = wmat.shape
+    for blk in blocks:
+        cols = _im2col(x[blk], k, stride, pad).reshape(-1, groups, kk, ho * wq)
+        if out is not None and wq == wo:  # no junk columns: the product is the output
+            np.matmul(wmat, cols, out=out[blk].reshape(-1, groups, per_group, ho * wo))
+        elif out is not None:
+            out[blk] = np.matmul(wmat, cols).reshape(-1, groups * per_group, ho, wq)[..., :wo]
+        if gw is not None:
+            gy = _widen(dy[blk], wq).reshape(-1, groups, per_group, ho * wq)
+            for gwi in np.matmul(gy, cols.swapaxes(-1, -2)):
+                gw += gwi
+        del cols  # so that the next block's columns reuse its memory, still in cache
+
+
+def _input_grad(dy, wmat, k: int, stride: int, pad: int, gx) -> None:
+    """Writes into gx (C order) the input gradient of conv2d by wmat, as in
+    _lowered, for the output gradient dy; _col2im scatters each block."""
+    ho, wo, wq, blocks = _conv_geometry(gx.shape, k, stride, pad)
+    groups, per_group, kk = wmat.shape
+    for blk in blocks:
+        gy = _widen(dy[blk], wq).reshape(-1, groups, per_group, ho * wq)
+        if k == 1 and stride == 1 and pad == 0:  # the product is the gradient
+            np.matmul(wmat.swapaxes(-1, -2), gy, out=gx[blk].reshape(-1, groups, kk, ho * wo))
+        else:
+            _col2im(np.matmul(wmat.swapaxes(-1, -2), gy), gx[blk], k, stride, pad, ho, wo)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -903,8 +937,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     Lowered in blocks of images whose columns fit in COLS_BLOCK_BYTES: one
     im2col per block for all groups (channel-major, so group g's columns are
     the g-th block of rows) and one batched matmul (G,Cout/g,K) @ (b,G,K,L).
-    The node keeps only x and w; its backward lowers each block again for the
-    weight gradient, summed image by image. A pointwise conv is one block.
+    The node keeps only x and w. Its backward lowers each block again for
+    the weight gradient, then scatters the input gradient block by block.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -913,37 +947,25 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     cout, _, k, k2 = w.data.shape
     if k != k2:
         raise ShapeError("only square kernels supported")
-    _check_conv_channels(cin, cout, groups, w.data.shape)
+    if cin % groups or cout % groups:
+        raise ShapeError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
+    if w.data.shape[1] != cin // groups:
+        raise ShapeError(f"weight expects {w.data.shape[1]} channels/group, "
+                         f"input has {cin // groups}")
     ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(wd, k, stride, padding)
-    _, wq = _phase_shape(k, stride, ho, wo)
-    blocks = ([slice(0, b)] if _is_pointwise(k, stride, padding)
-              else _image_blocks(b, 8 * cin * k * k * ho * wq))
     wmat = w.data.reshape(groups, cout // groups, -1)
-
-    def lower(blk):
-        cols = _im2col(x.data[blk], k, stride, padding)
-        return cols.reshape(-1, groups, wmat.shape[2], ho * wq)
-
     out = np.empty((b, cout, ho, wo))
-    for blk in blocks:
-        if wq == wo:  # no junk columns: the product is the output
-            np.matmul(wmat, lower(blk), out=out[blk].reshape(-1, groups, cout // groups, ho * wo))
-        else:
-            out[blk] = np.matmul(wmat, lower(blk)).reshape(-1, cout, ho, wq)[..., :wo]
+    _lowered(x.data, wmat, k, stride, padding, out=out)
 
     def back(g):
-        gw = np.zeros(wmat.shape)
-        gx = np.empty_like(x.data) if x.requires_grad else None
-        for blk in blocks:
-            gy = _widen(g[blk], wq).reshape(-1, groups, cout // groups, ho * wq)
-            if w.requires_grad:
-                for gwi in np.matmul(gy, lower(blk).swapaxes(-1, -2)):
-                    gw += gwi
-            if x.requires_grad:
-                gcols = np.matmul(wmat.swapaxes(-1, -2), gy)
-                gx[blk] = _col2im(gcols, gx[blk].shape, k, stride, padding, ho, wo)
-        w._accumulate(gw.reshape(w.data.shape))
-        x._accumulate(gx)
+        if w.requires_grad:
+            gw = np.zeros(wmat.shape)
+            _lowered(x.data, wmat, k, stride, padding, dy=g, gw=gw)
+            w._accumulate(gw.reshape(w.data.shape))
+        if x.requires_grad:
+            gx = np.empty(x.data.shape)
+            _input_grad(g, wmat, k, stride, padding, gx)
+            x._accumulate(gx)
 
     return _make(out, (x, w), back, "conv2d")
 
@@ -955,6 +977,9 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
     x: (B, Cout, Hi, Wi) with Cout = w.shape[0]; returns (B, Cin, Ho, Wo) where
     Ho = (Hi-1)*stride - 2*padding + k + output_padding. For every v and z:
     <conv2d(z, w), v> == <z, conv_transpose2d(v, w)> with matching geometry.
+    The forward is conv2d's input gradient for the output gradient x; the
+    backward lowers each block of g once for both gx = conv2d(g, w) and the
+    weight gradient. The node keeps only x and w.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -971,26 +996,18 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
     wo = (wi - 1) * stride - 2 * padding + k + output_padding
     if ho < 1 or wo < 1:
         raise ShapeError("conv_transpose2d output collapses")
-    out_shape = (b, cin_g * groups, ho, wo)
-    # x sits where conv2d's output would: same lowered row width
-    _, wq = _phase_shape(k, stride, hi, wi)
     wmat = w.data.reshape(groups, cout // groups, -1)
-
-    def widened():  # the node keeps x, not this copy of it
-        return _widen(x.data, wq).reshape(b, groups, cout // groups, hi * wq)
-
-    # a copy, where _col2im crops a view of its padded buffer
-    out = np.ascontiguousarray(_col2im(np.matmul(wmat.swapaxes(-1, -2), widened()),
-                                       out_shape, k, stride, padding, hi, wi))
+    out = np.empty((b, cin_g * groups, ho, wo))
+    _input_grad(x.data, wmat, k, stride, padding, out)
 
     def back(g):
-        gcols = _im2col(g, k, stride, padding).reshape(b, groups, -1, hi * wq)
-        if w.requires_grad:
-            gw = np.matmul(widened(), gcols.swapaxes(-1, -2)).sum(axis=0)
+        gw = np.zeros(wmat.shape) if w.requires_grad else None
+        gx = np.empty(x.data.shape) if x.requires_grad else None
+        _lowered(g, wmat, k, stride, padding, out=gx, dy=x.data, gw=gw)
+        if gw is not None:
             w._accumulate(gw.reshape(w.data.shape))
-        if x.requires_grad:
-            gx = np.matmul(wmat, gcols).reshape(b, cout, -1)
-            x._accumulate(_crop(gx, hi, wq, wi))
+        if gx is not None:
+            x._accumulate(gx)
 
     return _make(out, (x, w), back, "conv_transpose2d")
 

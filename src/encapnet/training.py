@@ -102,25 +102,6 @@ class MetricsWriter:
         self._f.close()
 
 
-def read_metrics(path: str):
-    """Parse a metrics CSV back into a list of dict rows (floats where possible)."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        rows = []
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            row = {}
-            for k, v in zip(header, parts):
-                if k == "split":
-                    row[k] = v
-                elif v == "":
-                    row[k] = None
-                else:
-                    row[k] = float(v)
-            rows.append(row)
-    return rows
-
-
 def _check_finite(loss: Tensor, epoch: int, batch_idx: int) -> None:
     if np.isfinite(loss.data).all():
         return

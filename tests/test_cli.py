@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from encapnet.cli import main
+from metrics_csv import read_metrics
 
 ENCAP_INI = """
 [net]
@@ -110,7 +111,6 @@ def test_train_then_eval(encap_ini, tmp_path, capsys):
     eval_out = capsys.readouterr().out
     assert "error" in eval_out
     # the eval error printed must equal the final train-loop eval error
-    from encapnet.training import read_metrics
     rows = [r for r in read_metrics(f"{out_dir}/metrics.csv")
             if r["split"] == "eval"]
     printed = float([ln for ln in eval_out.splitlines() if "error" in ln][0]
@@ -123,7 +123,6 @@ def test_train_overrides(encap_ini, tmp_path, capsys):
     assert main(["train", "--config", encap_ini, "--out-dir", out_dir,
                  "--max-epochs", "1", "--lam", "0", "--seed", "5",
                  "--quiet"]) == 0
-    from encapnet.training import read_metrics
     rows = read_metrics(f"{out_dir}/metrics.csv")
     assert max(int(r["epoch"]) for r in rows) == 0
     assert all(r["ot_m1"] is None for r in rows)

@@ -174,8 +174,9 @@ def shipped_network(name):
     return build_network(load_config(os.path.join(CONFIGS, name)).net, seed=0)
 
 
-def training_forward(net, b):
-    """(total loss, bytes the forward leaves allocated: its tape)."""
+def training_forward(net, b, backward=False):
+    """(total loss, bytes the forward leaves allocated: its tape, peak bytes
+    of the forward and, if asked, of the backward that follows it)."""
     rng = seeded_rng(b, "tape")
     x = Tensor(rng.normal(size=(b, 1, 28, 28)))
     labels = rng.integers(0, net.cfg.n_classes, size=b)
@@ -187,16 +188,25 @@ def training_forward(net, b):
         for val in itertools.chain(*ots):
             loss = loss + 10.0 * val
         held = tracemalloc.get_traced_memory()[0] - before
+        if backward:
+            loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return loss, held
+    return loss, held, peak
 
 
 class TestMemory:
     def test_synth_quick_training_tape(self):
         # the batch-32 step synth_train runs, feedback on
-        _, held = training_forward(shipped_network("synth_quick.ini"), 32)
+        _, held, _ = training_forward(shipped_network("synth_quick.ini"), 32)
         assert held <= 16.5e6, held
+
+    def test_synth_quick_training_step_peak(self):
+        # the same step's forward and backward: lowering the generator's whole
+        # gradient batch at once set the peak at 21.7 MB
+        _, _, peak = training_forward(shipped_network("synth_quick.ini"), 32, backward=True)
+        assert peak <= 19.5e6, peak
 
     def test_synth_quick_eval_forward_peak(self):
         # the batch-128 evaluation synth_train runs: one buffer per stage
@@ -217,7 +227,7 @@ class TestMemory:
         # the paper's 18-layer topology, which no benchmark workload runs;
         # its batch-2 tape measured 69.3 MB, the ceiling is 25% above it
         net = shipped_network("encapnet18.ini")
-        loss, held = training_forward(net, 2)
+        loss, held, _ = training_forward(net, 2)
         assert held <= 1.25 * 69.3e6, held
         loss.backward()
         for name, p in net.named_params():

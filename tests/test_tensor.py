@@ -250,18 +250,28 @@ class TestConv:
                 w_grads.append(w.grad)
             assert np.array_equal(w_grads[0], w_grads[1])
 
-    @pytest.mark.parametrize("stride,groups", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_blocked_equals_one_block(self, monkeypatch, stride, groups):
-        # a budget of two images' columns lowers a batch of 5 as 2 + 2 + 1
-        rng = seeded_rng(0, "conv-blocks", stride, groups)
-        xd, wd = rng.normal(size=(5, 4, 9, 8)), rng.normal(size=(6, 4 // groups, 3, 3))
-        ho, wo = T.conv_out_size(9, 3, stride, 1), T.conv_out_size(8, 3, stride, 1)
+    @pytest.mark.parametrize("transposed,stride,groups,opad", [
+        *(pytest.param(False, s, g, 0, id=f"{s}-{g}") for s in (1, 2) for g in (1, 2)),
+        *(pytest.param(True, s, g, p, id=f"transpose-{s}-{g}-{p}")
+          for s, p in ((1, 0), (2, 0), (2, 1)) for g in (1, 2))])
+    def test_blocked_equals_one_block(self, monkeypatch, transposed, stride, groups, opad):
+        # a budget of two images' columns lowers a batch of 5 as 2 + 2 + 1.
+        # conv2d maps (5, 4, h, w) to (5, 6, ho, wo); conv_transpose2d maps
+        # back, so its backward lowers its output's gradient in those blocks
+        rng = seeded_rng(0, "conv-blocks", stride, groups, *(("t", opad) if transposed else ()))
+        h, wd = (9 + opad, 7 + opad) if transposed and stride == 2 else (9, 8)
+        ho, wo = T.conv_out_size(h, 3, stride, 1), T.conv_out_size(wd, 3, stride, 1)
         per_image = 8 * 4 * 9 * ho * T._phase_shape(3, stride, ho, wo)[1]
-
-        x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        xd = rng.normal(size=(5, 6, ho, wo) if transposed else (5, 4, h, wd))
+        x = Tensor(xd, requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 4 // groups, 3, 3)), requires_grad=True)
 
         def loss():
-            y = T.conv2d(x, w, stride, 1, groups)
+            if transposed:
+                y = T.conv_transpose2d(x, w, stride, 1, opad, groups)
+                assert y.shape == (5, 4, h, wd)
+            else:
+                y = T.conv2d(x, w, stride, 1, groups)
             return T.tsum(y * y), y.data
 
         def run():
@@ -277,7 +287,9 @@ class TestConv:
         im2col = T._im2col
         monkeypatch.setattr(T, "_im2col", lambda x, *a: sizes.append(len(x)) or im2col(x, *a))
         blocked = run()
-        assert sizes == [2, 2, 1] * 2  # forward, then the weight gradient's
+        # conv2d lowers x in its forward and again for the weight gradient;
+        # the transpose lowers only g, once for both of its gradients
+        assert sizes == [2, 2, 1] * (1 if transposed else 2)
         for name, got, want in zip(("out", "x.grad", "w.grad"), blocked, whole):
             # the weight gradient is summed image by image either way
             assert np.array_equal(got, want), name
@@ -308,7 +320,8 @@ class TestConv:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_pointwise_product_is_the_output(self, stride):
         # no junk columns: the matmul writes the output bit for bit, with no
-        # product temporary to copy from; unstrided, x itself is the columns
+        # product temporary to copy from; the columns are x itself, or at
+        # stride 2 x[:, :, ::2, ::2] copied one image at a time
         rng = seeded_rng(stride, "pointwise")
         x = Tensor(rng.normal(size=(64, 32, 14, 14)))
         w = Tensor(rng.normal(size=(64, 8, 1, 1)))
@@ -324,7 +337,7 @@ class TestConv:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(y.data, want.reshape(y.shape))
-        assert stride > 1 or extra <= 64 << 10, extra
+        assert extra <= 64 << 10, extra
 
     def test_transpose_keeps_only_its_input_on_the_tape(self):
         # a 3x3 kernel widens the input to the lowered row width, a 0.9 MiB
@@ -345,10 +358,28 @@ class TestConv:
             tracemalloc.stop()
         assert held[1] - held[0] <= 64 << 10, held
 
+    def test_transpose_training_peak_is_blocked(self):
+        # synth_quick's generator: lowering the whole batch's gradient at
+        # once took 4.6 MB; a block of it fits in COLS_BLOCK_BYTES
+        rng = seeded_rng(0, "convt-peak")
+        x = Tensor(rng.normal(size=(32, 64, 7, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 2, 3, 3)), requires_grad=True)
+        g = T.constant(rng.normal(size=(32, 32, 7, 7)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.conv_transpose2d(x, w, 1, 1, 0, 16)
+            T.tsum(y * g).backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = y.data.nbytes + x.grad.nbytes + w.grad.nbytes
+        assert peak < held + 3 * T.COLS_BLOCK_BYTES, (peak, held)
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_transpose_output_owns_contiguous_memory(self, stride):
-        # _col2im crops a view of its padded buffer: the output copies the
-        # crop, so it holds no more than its own bytes
+        # _col2im writes each block into the output it is given, which so
+        # holds no more than its own bytes
         rng = seeded_rng(stride, "convt-own")
         x = Tensor(rng.normal(size=(4, 8, 7, 7)), requires_grad=True)
         w = Tensor(rng.normal(size=(8, 4, 3, 3)), requires_grad=True)
