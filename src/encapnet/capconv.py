@@ -61,9 +61,10 @@ class CapConv(Layer):
     aide votes (2 * dim_out channels) to that capsule's two coefficients. Its
     weight is the `gate` Conv2d's, applied by tensor.gate_logits, so the stack
     is never held. A training forward keeps the votes v1 and v2, the gate
-    logits and coefficients, and three stage-sized arrays: the gated sum
-    (tensor.gated_sum), its BN-ReLU and their squash. Under no_grad the votes
-    are dropped once summed and BN writes over the sum.
+    logits and coefficients, and two stage-sized arrays: the BN-ReLU of the
+    gated sum and its squash. The gated sum (tensor.gated_sum) and the masked
+    aide weight are released once read; the backward rebuilds them. Under
+    no_grad the votes are dropped once summed and BN writes over the sum.
     """
 
     _children = ("master", "aide", "gate", "bn")
@@ -83,8 +84,10 @@ class CapConv(Layer):
         self.bn = BatchNorm2d(c * d2)
 
     def _aide_votes(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.aide.weight * self._mask, self.aide.stride,
-                        self.aide.padding, self.aide.groups)
+        w = self.aide.weight * self._mask
+        v2 = T.conv2d(x, w, self.aide.stride, self.aide.padding, self.aide.groups)
+        w.release()  # the conv's backward rebuilds it
+        return v2
 
     def __call__(self, x: Tensor) -> Tensor:
         spec = self.spec
@@ -96,7 +99,9 @@ class CapConv(Layer):
         m = T.sigmoid(T.gate_logits(v1, v2, self.gate.weight, c))  # (B, 2*caps, H, W)
         s = T.gated_sum(v1, v2, m)
         del v1, v2, m  # under no_grad nothing else holds them
-        return grid_squash(self.bn(s), c, d2)
+        y = self.bn(s)
+        s.release()  # BN's backward rebuilds it
+        return grid_squash(y, c, d2)
 
 
 @dataclass
@@ -139,8 +144,10 @@ class EncapModule(Layer):
         return len(self.type2) + 1
 
     def __call__(self, x: Tensor) -> tuple[Tensor, ModuleTrace]:
-        y = self.type1(x) + self.type1_skip(x)
-        type1_out = y
+        y = self.type1(x)
+        skip = self.type1_skip(x)
+        y = type1_out = y + skip
+        skip.release()  # the add's backward reads only its shape
         for layer in self.type2:
             y = layer(y) + y
         return y, ModuleTrace(input=x, type1_out=type1_out, output=y)

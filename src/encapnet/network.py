@@ -154,8 +154,11 @@ class Stem(Layer):
             cin = cout
 
     def __call__(self, x: Tensor) -> Tensor:
-        for conv, bn in zip(self.convs, self.bns):
-            x = bn(conv(x))
+        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
+            y = conv(x)
+            if i:  # an inner BN-ReLU output: only y's backward reads it, rebuilt
+                x.release()
+            x = bn(y)
         return x
 
 

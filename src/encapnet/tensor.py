@@ -8,13 +8,21 @@ walk releases it: its .grad, parents and rule are dropped, so the tape is freed
 as it is walked and only leaf grads outlive backward(); they keep accumulating
 until zeroed. Walking a released node again raises GraphReleased.
 
-What a node holds: its rule keeps the node's inputs and output alive, and an
-array beyond them only where recomputing it costs more than a cheap pass over
-those. conv2d and conv_transpose2d keep x and w; both run on one blocked
-lowering and one blocked scatter, so no call holds a whole batch's columns.
+What a node holds: its rule keeps the node's inputs alive, and an array beyond
+them only where recomputing it costs more than a cheap pass over those.
+conv2d and conv_transpose2d keep x and w; both run on one blocked lowering
+and one blocked scatter, so no call holds a whole batch's columns.
 batch_norm_relu recomputes x-hat from x, squash |s|^2 and its scale from s,
 and gate_logits its stacked input from v1 and v2, each with the forward's
 own ops, so bit for bit.
+
+A node's own output stays in .data until its layer calls release(), once
+only backward rules read it. Training batch_norm_relu, gated_sum, conv2d and
+mul can rebuild their output from their inputs with the forward's own ops;
+release() drops only such an output. Rules read inputs through value(),
+which rebuilds a released array, or only the images a slice names, so
+conv2d's backward lowers a released input block by block. A rule that
+needs only an input's shape records it in the forward.
 
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import weakref
 import zlib
 
 import numpy as np
@@ -44,7 +53,7 @@ from .errors import ConfigError, DomainError, GraphReleased, ShapeError
 _grad_enabled = True
 SQUASH_EPS = 1e-8
 # Bytes of im2col columns in one conv2d block of images, so they stay in cache.
-COLS_BLOCK_BYTES = 1 << 20
+COLS_BLOCK_BYTES = 1 << 19
 # Stands in for the rule of a node that backward() has run and released.
 _RELEASED = object()
 
@@ -94,10 +103,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward",
+                 "_rebuild", "_shape")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple = (), backward=None):
+                 parents: tuple = (), backward=None, rebuild=None):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
@@ -106,27 +116,38 @@ class Tensor:
         self.op = op
         self._parents = parents
         self._backward = backward
+        self._rebuild = rebuild
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._shape if self.data is None else self.data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self):
-        return self.data.size
+        return int(np.prod(self.shape))
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return np.dtype(np.float64)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
+
+    def release(self) -> None:
+        """Drop the array of a node whose backward can rebuild it; a no-op on
+        leaves, no_grad outputs and nodes without a rebuild."""
+        if self._rebuild is not None and self.data is not None:
+            self._shape, self.data = self.data.shape, None
+
+    def value(self, blk=...) -> np.ndarray:
+        """The array, or the images blk of it; a released node rebuilds them."""
+        return self._rebuild(blk) if self.data is None else self.data[blk]
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -150,7 +171,7 @@ class Tensor:
         elif g.flags.writeable:
             self.grad = g
         else:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty(self.shape) if self.data is None else np.empty_like(self.data)
             self.grad[...] = g
 
     # -- graph walk ---------------------------------------------------------
@@ -195,6 +216,7 @@ class Tensor:
                 if node.grad is not None:
                     node._backward(node.grad)
                 node.grad, node._parents, node._backward = None, (), _RELEASED
+                node._rebuild = None
 
     # -- operators ----------------------------------------------------------
 
@@ -265,12 +287,12 @@ class no_grad:
         return False
 
 
-def _make(data, parents, backward, op):
+def _make(data, parents, backward, op, rebuild=None):
     if not _grad_enabled:
         return Tensor(data, op=op)
     req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, op=op,
-                  parents=parents, backward=backward if req else None)
+    return Tensor(data, requires_grad=req, op=op, parents=parents,
+                  backward=backward if req else None, rebuild=rebuild if req else None)
 
 
 # -- elementwise -------------------------------------------------------------
@@ -278,10 +300,11 @@ def _make(data, parents, backward, op):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape  # the rule reads no more of a or b
 
     def back(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        gb = _unbroadcast(g, b.data.shape)
+        a._accumulate(_unbroadcast(g, sa))
+        gb = _unbroadcast(g, sb)
         b._accumulate(gb.copy() if gb is a.grad else gb)
 
     return _make(out_data, (a, b), back, "add")
@@ -306,7 +329,7 @@ def mul(a, b) -> Tensor:
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out_data, (a, b), back, "mul")
+    return _make(out_data, (a, b), back, "mul", lambda blk: (a.value() * b.value())[blk])
 
 
 def div(a, b) -> Tensor:
@@ -527,9 +550,11 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
     closed form dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)) in
     training and dx = g * scale in eval.
 
-    The node keeps x, its output and per-channel statistics: the backward
-    recomputes xhat from x with the forward's own ops, so it is bitwise the
-    forward's. overwrite says x's array is the caller's own temporary; when
+    The node keeps x and per-channel statistics: the backward recomputes
+    xhat from x with the forward's own ops, so it is bitwise the forward's.
+    A training node also rebuilds its output; once that is released, the
+    rule masks by fl(xhat * gamma) > -beta, which is fl(fl(xhat * gamma) +
+    beta) > 0. overwrite says x's array is the caller's own temporary; when
     no tape is recorded (no_grad) the result is then written over it.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -539,14 +564,12 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
     n = b * h * w
     x3 = x.data.reshape(b, c, h * w)
     out = x3 if overwrite and not _grad_enabled else None
+
     if training:
         mean = x3.sum(axis=(0, 2)) * (1.0 / n)
         out = np.subtract(x3, mean[:, None], out=out)
         var = (out * out).sum(axis=(0, 2)) * (1.0 / n)
         std = np.sqrt(var + eps)
-        out /= std[:, None]
-        out *= gamma.data[:, None]
-        out += beta.data[:, None]
         running_mean[...] = (1 - momentum) * running_mean + momentum * mean
         running_var[...] = (1 - momentum) * running_var + momentum * (var * (n / max(n - 1, 1)))
     else:
@@ -555,25 +578,54 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
         scale = gamma.data / std
         out = np.multiply(x3, scale[:, None], out=out)
         out += (beta.data - mean * scale)[:, None]
-    np.maximum(out, 0, out=out)
+
+    def normed(d, s, g, bt):  # the training forward after d = x - mean
+        d /= s
+        d *= g
+        d += bt
+        return np.maximum(d, 0, out=d)
+
+    def per(v):  # (C,) spread over (C, H*W): numpy's loops run faster than on v[:, None]
+        return np.repeat(v, h * w).reshape(c, h * w)
+
+    spread = []  # the backward's statistics, spread once for it and all rebuilt blocks
+
+    def stats():
+        spread[:] = spread or [per(v) for v in (mean, std, gamma.data, beta.data)]
+        return spread
+
+    def rebuild(blk):
+        xb = x.value(blk)
+        sm, *rest = stats()
+        return normed(np.subtract(xb.reshape(len(xb), c, h * w), sm), *rest).reshape(xb.shape)
+
+    if training:
+        normed(out, std[:, None], gamma.data[:, None], beta.data[:, None])
+    else:
+        np.maximum(out, 0, out=out)
+    kept = weakref.ref(out)  # dies once the caller releases the (training) output
 
     def back(g):
-        gm = g.reshape(out.shape) * (out > 0)
+        sm, ss, sg, sb = stats()
+        xhat = x.value().reshape(b, c, h * w) - sm
+        xhat /= ss
+        y = kept()
+        gm = g.reshape(b, c, h * w) * (y > 0 if y is not None else xhat * sg > -sb)
+        del y
         gsum = gm.sum(axis=(0, 2))
-        xhat = x.data.reshape(out.shape) - mean[:, None]
-        xhat /= std[:, None]
         t = gm * xhat
         gxsum = t.sum(axis=(0, 2))
         beta._accumulate(gsum)
         gamma._accumulate(gxsum)
         if x.requires_grad:
             if training:
-                gm -= (gsum / n)[:, None]
-                gm -= np.multiply(xhat, (gxsum / n)[:, None], out=t)
-            gm *= (gamma.data / std)[:, None]
+                gm -= per(gsum / n)
+                gm -= np.multiply(xhat, per(gxsum / n), out=t)
+            gm *= per(gamma.data / std)
             x._accumulate(gm.reshape(b, c, h, w))
 
-    return _make(out.reshape(b, c, h, w), (x, gamma, beta), back, "batch_norm_relu")
+    return _make(out.reshape(b, c, h, w), (x, gamma, beta), back, "batch_norm_relu",
+                 rebuild if training else None)
 
 
 # -- capsule kernels ------------------------------------------------------------
@@ -664,8 +716,9 @@ def gated_sum(v1, v2, m) -> Tensor:
 
     v1, v2: (B, G*d, H, W), G capsules of d channels each; m: (B, 2*G, H, W)
     holds capsule g's coefficients m1, m2 at channels 2g and 2g+1. The node
-    keeps only its inputs and s; backward: gv1 = m1 g, gv2 = m2 g and
-    gm1 = sum over the d channels of g v1 (gm2 likewise with v2).
+    keeps only its inputs and s, and rebuilds s from them, so the caller may
+    release it; backward: gv1 = m1 g, gv2 = m2 g and gm1 = sum over the d
+    channels of g v1 (gm2 likewise with v2).
     """
     v1, v2, m = as_tensor(v1), as_tensor(v2), as_tensor(m)
     if v1.data.shape != v2.data.shape:
@@ -677,10 +730,14 @@ def gated_sum(v1, v2, m) -> Tensor:
     shape = (b, caps, cd // caps, h, w)
     mm = m.data.reshape(b, caps, 2, h, w)
     m1, m2 = mm[:, :, 0:1], mm[:, :, 1:2]
-    out = np.empty(shape)
-    for blk in _image_blocks(b, 8 * cd * h * w):  # the m2 v2 temporary is one block
-        np.multiply(m1[blk], v1.data[blk].reshape(-1, *shape[1:]), out=out[blk])
-        out[blk] += m2[blk] * v2.data[blk].reshape(-1, *shape[1:])
+
+    def rebuild(blk):
+        a1, a2, p1, p2 = (a[blk] for a in (m1, m2, v1.data.reshape(shape), v2.data.reshape(shape)))
+        s = np.empty(p1.shape)
+        for sub in _image_blocks(len(s), 8 * cd * h * w):  # the m2 v2 temporary is one block
+            np.multiply(a1[sub], p1[sub], out=s[sub])
+            s[sub] += a2[sub] * p2[sub]
+        return s.reshape(-1, cd, h, w)
 
     def back(g):
         g = g.reshape(shape)
@@ -692,7 +749,7 @@ def gated_sum(v1, v2, m) -> Tensor:
         v1._accumulate((g * m1).reshape(v1.data.shape))
         v2._accumulate((g * m2).reshape(v2.data.shape))
 
-    return _make(out.reshape(v1.data.shape), (v1, v2, m), back, "gated_sum")
+    return _make(rebuild(slice(None)), (v1, v2, m), back, "gated_sum", rebuild)
 
 
 def route_by_agreement(poses, transforms, iters: int) -> Tensor:
@@ -885,14 +942,15 @@ def _widen(y: np.ndarray, wq: int) -> np.ndarray:
     return out.reshape(b, c, h * wq)
 
 
-def _conv_geometry(x_shape, k: int, stride: int, pad: int):
+def _conv_geometry(x_shape, k: int, stride: int, pad: int, forward: bool = False):
     """(Ho, Wo, Wq, blocks) of conv2d on an x_shape input. blocks slice the
     batch into blocks of images whose columns fit in COLS_BLOCK_BYTES; a 1x1
-    unpadded conv's columns are x itself (one block) or, strided, per image."""
+    unpadded conv's columns are x itself (one block) or, strided, a copy that
+    a forward takes per image, so an eval forward holds one image's more."""
     b, c, h, w = x_shape
     ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
     _, wq = _phase_shape(k, stride, ho, wo)
-    if k == 1 and pad == 0:
+    if k == 1 and pad == 0 and (stride == 1 or forward):
         blocks = [slice(0, b)] if stride == 1 else [slice(i, i + 1) for i in range(b)]
     else:
         blocks = _image_blocks(b, 8 * c * k * k * ho * wq)
@@ -902,11 +960,13 @@ def _conv_geometry(x_shape, k: int, stride: int, pad: int):
 def _lowered(x, wmat, k: int, stride: int, pad: int, out=None, dy=None, gw=None) -> None:
     """conv2d of x by the weight wmat (G, Cout/G, Cin/G*k*k), lowering each
     block of images once: writes the output into out (C order) and/or adds
-    into gw the weight gradient for the output gradient dy, image by image."""
-    ho, wo, wq, blocks = _conv_geometry(x.shape, k, stride, pad)
+    into gw the weight gradient for the output gradient dy, image by image.
+    x is an array or a Tensor, whose value() gives each block."""
+    ho, wo, wq, blocks = _conv_geometry(x.shape, k, stride, pad, forward=gw is None)
     groups, per_group, kk = wmat.shape
     for blk in blocks:
-        cols = _im2col(x[blk], k, stride, pad).reshape(-1, groups, kk, ho * wq)
+        xb = x.value(blk) if isinstance(x, Tensor) else x[blk]
+        cols = _im2col(xb, k, stride, pad).reshape(-1, groups, kk, ho * wq)
         if out is not None and wq == wo:  # no junk columns: the product is the output
             np.matmul(wmat, cols, out=out[blk].reshape(-1, groups, per_group, ho * wo))
         elif out is not None:
@@ -937,8 +997,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     Lowered in blocks of images whose columns fit in COLS_BLOCK_BYTES: one
     im2col per block for all groups (channel-major, so group g's columns are
     the g-th block of rows) and one batched matmul (G,Cout/g,K) @ (b,G,K,L).
-    The node keeps only x and w. Its backward lowers each block again for
-    the weight gradient, then scatters the input gradient block by block.
+    The node keeps only x and w, reads them through value() and can rebuild
+    its output. Its backward lowers each block again for the weight
+    gradient, then scatters the input gradient block by block.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -953,21 +1014,26 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
         raise ShapeError(f"weight expects {w.data.shape[1]} channels/group, "
                          f"input has {cin // groups}")
     ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(wd, k, stride, padding)
-    wmat = w.data.reshape(groups, cout // groups, -1)
-    out = np.empty((b, cout, ho, wo))
-    _lowered(x.data, wmat, k, stride, padding, out=out)
+    wshape = (groups, cout // groups, -1)
+
+    def rebuild(blk):
+        xb = x.value(blk)
+        out = np.empty((len(xb), cout, ho, wo))
+        _lowered(xb, w.value().reshape(wshape), k, stride, padding, out=out)
+        return out
 
     def back(g):
+        wmat = w.value().reshape(wshape)
         if w.requires_grad:
             gw = np.zeros(wmat.shape)
-            _lowered(x.data, wmat, k, stride, padding, dy=g, gw=gw)
-            w._accumulate(gw.reshape(w.data.shape))
+            _lowered(x, wmat, k, stride, padding, dy=g, gw=gw)
+            w._accumulate(gw.reshape(w.shape))
         if x.requires_grad:
-            gx = np.empty(x.data.shape)
+            gx = np.empty(x.shape)
             _input_grad(g, wmat, k, stride, padding, gx)
             x._accumulate(gx)
 
-    return _make(out, (x, w), back, "conv2d")
+    return _make(rebuild(slice(None)), (x, w), back, "conv2d", rebuild)
 
 
 def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
@@ -1020,6 +1086,6 @@ def find_first_nonfinite(root: Tensor) -> str | None:
     Raises GraphReleased on a graph that backward() has walked.
     """
     for node in root._topo():
-        if not np.all(np.isfinite(node.data)):
+        if not np.all(np.isfinite(node.value())):
             return node.op
     return None

@@ -24,6 +24,11 @@ from .data import batches
 from .layers import Layer
 from .optim import Adam
 
+# Most images per evaluation block; every block but the last holds a multiple
+# of 16, so each image stays in the same BLAS register tile of the capsule
+# head's batch matmul as in the whole batch, and the capsules keep their bits.
+EVAL_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -123,7 +128,10 @@ def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256):
     """(error, accuracy, mean margin loss) on a fixed, unshuffled pass.
 
-    Runs under no_grad: nothing here is differentiated.
+    Runs under no_grad: nothing here is differentiated. Each batch runs
+    through the model in ceil(B / EVAL_BLOCK) blocks, which hold less and
+    give the whole batch's capsules bit for bit; predict and the margin
+    take those.
     """
     model.set_mode(False)
     n = images.shape[0]
@@ -131,7 +139,9 @@ def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
     margin_sum = 0.0
     with T.no_grad():
         for xb, yb in batches(images, labels, batch_size, shuffle=False, augment=False):
-            caps, _ = model(Tensor(xb))
+            units = np.array_split(np.arange(len(xb) // 16), -(-len(xb) // EVAL_BLOCK))
+            blocks = np.split(xb, np.cumsum([16 * len(u) for u in units])[:-1])
+            caps = Tensor(np.concatenate([model(Tensor(x))[0].data for x in blocks]))
             wrong += int((predict(caps) != yb).sum())
             margin_sum += float(margin_loss(caps, yb).data) * xb.shape[0]
     error = wrong / n

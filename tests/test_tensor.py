@@ -532,6 +532,86 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn._buffers["running_var"], np.ones(4))
 
 
+class TestRelease:
+    """release() drops the array of a node that its consumers' backward rules
+    rebuild; value() rebuilds it, whole or one block of images, bit for bit."""
+
+    @staticmethod
+    def _node(op, rng):
+        if op == "batch_norm_relu":  # training statistics
+            x = Tensor(rng.normal(size=(6, 4, 5, 5)) * 3 + 1, requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 2.0, size=4), requires_grad=True)
+            beta = Tensor(rng.normal(size=4), requires_grad=True)
+            return T.batch_norm_relu(x, gamma, beta, np.zeros(4), np.ones(4), True)
+        if op == "gated_sum":
+            v1, v2 = (Tensor(rng.normal(size=(6, 8, 5, 5)), requires_grad=True) for _ in "12")
+            return T.gated_sum(v1, v2, Tensor(rng.uniform(size=(6, 4, 5, 5)), requires_grad=True))
+        if op == "masked weight":  # CapConv's aide weight times its mask
+            from encapnet.capconv import _aide_mask
+            return Tensor(rng.normal(size=(8, 12, 1, 1)), requires_grad=True) * _aide_mask(4, 2, 3)
+        x = Tensor(rng.normal(size=(6, 4, 9, 9)), requires_grad=True)
+        k, stride, pad = {"conv2d 3x3": (3, 2, 1), "conv2d 1x1": (1, 2, 0)}[op]
+        return T.conv2d(x, Tensor(rng.normal(size=(6, 2, k, k)), requires_grad=True),
+                        stride, pad, 2)
+
+    @pytest.mark.parametrize("op", ["batch_norm_relu", "gated_sum", "masked weight",
+                                    "conv2d 3x3", "conv2d 1x1"])
+    def test_rebuild_is_the_forward_output(self, monkeypatch, op):
+        # small blocks, so the forward's blocks of images are not the rebuild's
+        monkeypatch.setattr(T, "COLS_BLOCK_BYTES", 4096)
+        node = self._node(op, seeded_rng(0, "rebuild", op))
+        want = node.data.copy()
+        node.release()
+        assert node.data is None and node.shape == want.shape
+        assert node.value().tobytes() == want.tobytes()
+        assert node.value(slice(2, 5)).tobytes() == want[2:5].tobytes()
+
+    def test_release_keeps_what_no_rebuild_covers(self):
+        rng = seeded_rng(0, "keep")
+        x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+        g, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        with T.no_grad():
+            untaped = x * x
+        kept = [x,                                    # a leaf
+                untaped,                              # a no_grad output of mul
+                T.constant(np.ones(3)) * np.ones(3),  # mul with no rule
+                T.sigmoid(x),                         # a rule but no rebuild
+                T.batch_norm_relu(x, g, b, np.zeros(3), np.ones(3), False)]  # eval
+        for node in kept:
+            data = node.data
+            node.release()
+            assert node.data is data, node.op
+
+    def test_released_node_reports_its_shape(self):
+        w = Tensor(np.ones((4, 3, 2, 1)), requires_grad=True) * 2.0
+        w.release()
+        assert w.data is None
+        assert (w.shape, w.ndim, w.size, w.dtype) == ((4, 3, 2, 1), 4, 24, np.float64)
+
+    def test_released_inputs_give_bitwise_equal_gradients(self):
+        # conv2d reads a released BN-ReLU output and a released masked weight
+        # block by block; batch_norm_relu reads a released gated sum
+        def grads(release):
+            rng = seeded_rng(0, "released-grads")
+            x = Tensor(rng.normal(size=(5, 8, 6, 6)), requires_grad=True)
+            w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+            gamma, beta = Tensor(np.full(8, 1.5), requires_grad=True), Tensor(
+                np.full(8, 0.1), requires_grad=True)
+            m = Tensor(rng.uniform(size=(5, 4, 6, 6)), requires_grad=True)
+            mw = w * T.constant((rng.uniform(size=w.shape) > 0.3).astype(float))
+            s = T.gated_sum(x, T.conv2d(x, mw, 1, 1), m)
+            y = T.batch_norm_relu(s, gamma, beta, np.zeros(8), np.ones(8), True)
+            z = T.conv2d(y, w, 2, 1)
+            if release:
+                for node in (mw, s, y):
+                    node.release()
+            T.tsum(z * z).backward()
+            return [t.grad for t in (x, w, gamma, beta, m)]
+
+        for got, want in zip(grads(True), grads(False)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestNoGrad:
     def test_nodes_have_no_parents_and_no_backward(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

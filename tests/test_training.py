@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from encapnet.capsules import margin_loss
+from encapnet import tensor as T
+from encapnet import training
+from encapnet.capsules import margin_loss, predict
 from encapnet.configfile import load_config
 from encapnet.data import batches, synth_generate
 from encapnet.errors import ConfigError, GraphReleased, TrainingDiverged
@@ -16,8 +18,10 @@ from encapnet.optim import Adam
 from encapnet.sinkhorn import OTConfig
 from encapnet.training import (MetricsWriter, TrainConfig, evaluate, lr_at,
                                scale_config, train_model)
-from encapnet.tensor import Tensor
+from encapnet.tensor import Tensor, seeded_rng
 from metrics_csv import read_metrics
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def tiny_setup(lam=0.0, **train_kw):
@@ -111,6 +115,32 @@ class TestEvaluate:
         err, acc, margin = evaluate(model, x, y, batch_size=12)
         assert err == 0.0 and acc == 1.0
         assert margin > 0  # 0.5-norm capsules still pay some hinge
+
+    @pytest.mark.parametrize("config", ["synth_quick.ini", "mnist_capnet6_dynamic.ini",
+                                        "mnist_cnn6.ini"])
+    def test_blocked_capsules_equal_the_whole_batch(self, monkeypatch, config):
+        # a batch of n runs as ceil(n / 32) blocks, all but the last of 16 or
+        # 32 images; predict sees the capsules of the whole batch
+        net = build_network(load_config(os.path.join(CONFIGS, config)).net, seed=0)
+        images = seeded_rng(0, "blocks").normal(size=(128, 28, 28))
+        labels = np.arange(128) % net.cfg.n_classes
+        net.set_mode(False)
+        seen, sizes = [], []
+        monkeypatch.setattr(training, "predict",
+                            lambda caps: seen.append(caps.data) or predict(caps))
+        forward = type(net).__call__
+        for n, blocks in [(128, [32] * 4), (64, [32, 32]), (48, [32, 16]), (40, [16, 24]),
+                          (36, [16, 20]), (33, [16, 17])]:
+            with T.no_grad():
+                whole = forward(net, Tensor(images[:n, None]))[0].data
+            seen.clear()
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(type(net), "__call__",
+                          lambda self, x: sizes.append(len(x.data)) or forward(self, x))
+                evaluate(net, images[:n], labels[:n], n)
+            assert sizes == blocks
+            assert seen[0].tobytes() == whole.tobytes(), n
 
 
 class TestTrainLoop:
