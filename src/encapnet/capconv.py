@@ -12,6 +12,7 @@ and squash. No routing loop exists anywhere in the op graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class CapConv(Layer):
     def _aide_votes(self, x: Tensor) -> Tensor:
         w = self.aide.weight * self._mask
         v2 = T.conv2d(x, w, self.aide.stride, self.aide.padding, self.aide.groups)
-        w.release()  # the conv's backward rebuilds it
+        w.release(T.mul)  # only the conv's backward reads it again
         return v2
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -100,7 +101,7 @@ class CapConv(Layer):
         s = T.gated_sum(v1, v2, m)
         del v1, v2, m  # under no_grad nothing else holds them
         y = self.bn(s)
-        s.release()  # BN's backward rebuilds it
+        s.release(T.gated_sum)  # only BN's backward reads it again
         return grid_squash(y, c, d2)
 
 
@@ -147,7 +148,9 @@ class EncapModule(Layer):
         y = self.type1(x)
         skip = self.type1_skip(x)
         y = type1_out = y + skip
-        skip.release()  # the add's backward reads only its shape
+        conv = self.type1_skip  # the add's backward reads only skip's shape
+        skip.release(partial(T.conv2d, stride=conv.stride, padding=conv.padding,
+                             groups=conv.groups))
         for layer in self.type2:
             y = layer(y) + y
         return y, ModuleTrace(input=x, type1_out=type1_out, output=y)

@@ -17,12 +17,14 @@ and gate_logits its stacked input from v1 and v2, each with the forward's
 own ops, so bit for bit.
 
 A node's own output stays in .data until its layer calls release(), once
-only backward rules read it. Training batch_norm_relu, gated_sum, conv2d and
-mul can rebuild their output from their inputs with the forward's own ops;
-release() drops only such an output. Rules read inputs through value(),
+only backward rules read it. The layer hands release() the op that made the
+node, which value() re-runs on the node's inputs under no_grad, so the
+rebuilt array is the forward's bit for bit. A training batch_norm_relu
+node, whose batch statistics no op call reproduces, carries its own
+rebuild, so release() needs no op there. Rules read inputs through value(),
 which rebuilds a released array, or only the images a slice names, so
-conv2d's backward lowers a released input block by block. A rule that
-needs only an input's shape records it in the forward.
+conv2d's backward lowers a released BN-ReLU output block by block. A rule
+that needs only an input's shape records it in the forward.
 
 Inside `with no_grad():` ops still compute their outputs but record nothing:
 the nodes they build have no parents, no backward rule and requires_grad
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import weakref
 import zlib
 
 import numpy as np
@@ -139,10 +140,24 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op}, grad={self.requires_grad})"
 
-    def release(self) -> None:
-        """Drop the array of a node whose backward can rebuild it; a no-op on
-        leaves, no_grad outputs and nodes without a rebuild."""
-        if self._rebuild is not None and self.data is not None:
+    def release(self, op=None) -> None:
+        """Drop the array of a node that only backward rules read later.
+
+        value() then rebuilds it by re-running op, the op that made the node,
+        on its inputs under no_grad, or else by the node's own rebuild. A
+        no-op on leaves, no_grad outputs, walked nodes and nodes with neither.
+        """
+        if not callable(self._backward) or self.data is None:
+            return
+        if op is not None:
+            parents = self._parents
+
+            def redo(blk):
+                with no_grad():
+                    return op(*parents).data[blk]
+
+            self._rebuild = redo
+        if self._rebuild is not None:
             self._shape, self.data = self.data.shape, None
 
     def value(self, blk=...) -> np.ndarray:
@@ -300,11 +315,10 @@ def _make(data, parents, backward, op, rebuild=None):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
-    sa, sb = a.data.shape, b.data.shape  # the rule reads no more of a or b
 
-    def back(g):
-        a._accumulate(_unbroadcast(g, sa))
-        gb = _unbroadcast(g, sb)
+    def back(g):  # reads only the shapes of a and b, which a release keeps
+        a._accumulate(_unbroadcast(g, a.shape))
+        gb = _unbroadcast(g, b.shape)
         b._accumulate(gb.copy() if gb is a.grad else gb)
 
     return _make(out_data, (a, b), back, "add")
@@ -329,7 +343,7 @@ def mul(a, b) -> Tensor:
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out_data, (a, b), back, "mul", lambda blk: (a.value() * b.value())[blk])
+    return _make(out_data, (a, b), back, "mul")
 
 
 def div(a, b) -> Tensor:
@@ -539,6 +553,14 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
 
 # -- normalisation ---------------------------------------------------------------
 
+def _bn_relu_tail(d, std, gamma, beta) -> np.ndarray:
+    """The training forward after d = x - mean, in place: relu(d / std * gamma + beta)."""
+    d /= std[:, None]
+    d *= gamma[:, None]
+    d += beta[:, None]
+    return np.maximum(d, 0, out=d)
+
+
 def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
                     eps: float = 1e-5, momentum: float = 0.1,
                     overwrite: bool = False) -> Tensor:
@@ -550,12 +572,14 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
     closed form dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)) in
     training and dx = g * scale in eval.
 
-    The node keeps x and per-channel statistics: the backward recomputes
-    xhat from x with the forward's own ops, so it is bitwise the forward's.
-    A training node also rebuilds its output; once that is released, the
-    rule masks by fl(xhat * gamma) > -beta, which is fl(fl(xhat * gamma) +
-    beta) > 0. overwrite says x's array is the caller's own temporary; when
-    no tape is recorded (no_grad) the result is then written over it.
+    The node keeps x and per-channel statistics, not its output: the
+    backward recomputes xhat from x with the forward's own ops, so it is
+    bitwise the forward's, and takes the mask from the forward's last sum,
+    fl(u + t) > 0 as u > -t, with u = fl(xhat * gamma), t = beta in training
+    and u = fl(x * scale), t = shift in eval. A training node rebuilds its
+    output the same way, so its caller may release it. overwrite says x's
+    array is the caller's own temporary; when no tape is recorded (no_grad)
+    the result is then written over it.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 4:
@@ -564,12 +588,12 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
     n = b * h * w
     x3 = x.data.reshape(b, c, h * w)
     out = x3 if overwrite and not _grad_enabled else None
-
     if training:
         mean = x3.sum(axis=(0, 2)) * (1.0 / n)
         out = np.subtract(x3, mean[:, None], out=out)
         var = (out * out).sum(axis=(0, 2)) * (1.0 / n)
         std = np.sqrt(var + eps)
+        _bn_relu_tail(out, std, gamma.data, beta.data)
         running_mean[...] = (1 - momentum) * running_mean + momentum * mean
         running_var[...] = (1 - momentum) * running_var + momentum * (var * (n / max(n - 1, 1)))
     else:
@@ -578,50 +602,33 @@ def batch_norm_relu(x, gamma, beta, running_mean, running_var, training: bool,
         scale = gamma.data / std
         out = np.multiply(x3, scale[:, None], out=out)
         out += (beta.data - mean * scale)[:, None]
-
-    def normed(d, s, g, bt):  # the training forward after d = x - mean
-        d /= s
-        d *= g
-        d += bt
-        return np.maximum(d, 0, out=d)
-
-    def per(v):  # (C,) spread over (C, H*W): numpy's loops run faster than on v[:, None]
-        return np.repeat(v, h * w).reshape(c, h * w)
-
-    spread = []  # the backward's statistics, spread once for it and all rebuilt blocks
-
-    def stats():
-        spread[:] = spread or [per(v) for v in (mean, std, gamma.data, beta.data)]
-        return spread
+        np.maximum(out, 0, out=out)
 
     def rebuild(blk):
         xb = x.value(blk)
-        sm, *rest = stats()
-        return normed(np.subtract(xb.reshape(len(xb), c, h * w), sm), *rest).reshape(xb.shape)
-
-    if training:
-        normed(out, std[:, None], gamma.data[:, None], beta.data[:, None])
-    else:
-        np.maximum(out, 0, out=out)
-    kept = weakref.ref(out)  # dies once the caller releases the (training) output
+        d = np.subtract(xb.reshape(len(xb), c, h * w), mean[:, None])
+        return _bn_relu_tail(d, std, gamma.data, beta.data).reshape(xb.shape)
 
     def back(g):
-        sm, ss, sg, sb = stats()
-        xhat = x.value().reshape(b, c, h * w) - sm
-        xhat /= ss
-        y = kept()
-        gm = g.reshape(b, c, h * w) * (y > 0 if y is not None else xhat * sg > -sb)
-        del y
+        xhat = x.value().reshape(b, c, h * w) - mean[:, None]
+        xhat /= std[:, None]
+        if training:  # t: the product the forward added beta to
+            t = np.multiply(xhat, gamma.data[:, None])
+            gm = g.reshape(b, c, h * w) * (t > -beta.data[:, None])
+        else:  # the eval forward's x * scale, and its shift
+            sc = gamma.data / std
+            t = np.multiply(x.value().reshape(b, c, h * w), sc[:, None])
+            gm = g.reshape(b, c, h * w) * (t > -(beta.data - mean * sc)[:, None])
         gsum = gm.sum(axis=(0, 2))
-        t = gm * xhat
+        np.multiply(gm, xhat, out=t)
         gxsum = t.sum(axis=(0, 2))
         beta._accumulate(gsum)
         gamma._accumulate(gxsum)
         if x.requires_grad:
             if training:
-                gm -= per(gsum / n)
-                gm -= np.multiply(xhat, per(gxsum / n), out=t)
-            gm *= per(gamma.data / std)
+                gm -= (gsum / n)[:, None]
+                gm -= np.multiply(xhat, (gxsum / n)[:, None], out=t)
+            gm *= (gamma.data / std)[:, None]
             x._accumulate(gm.reshape(b, c, h, w))
 
     return _make(out.reshape(b, c, h, w), (x, gamma, beta), back, "batch_norm_relu",
@@ -716,9 +723,8 @@ def gated_sum(v1, v2, m) -> Tensor:
 
     v1, v2: (B, G*d, H, W), G capsules of d channels each; m: (B, 2*G, H, W)
     holds capsule g's coefficients m1, m2 at channels 2g and 2g+1. The node
-    keeps only its inputs and s, and rebuilds s from them, so the caller may
-    release it; backward: gv1 = m1 g, gv2 = m2 g and gm1 = sum over the d
-    channels of g v1 (gm2 likewise with v2).
+    keeps only its inputs and s; backward: gv1 = m1 g, gv2 = m2 g and
+    gm1 = sum over the d channels of g v1 (gm2 likewise with v2).
     """
     v1, v2, m = as_tensor(v1), as_tensor(v2), as_tensor(m)
     if v1.data.shape != v2.data.shape:
@@ -730,14 +736,10 @@ def gated_sum(v1, v2, m) -> Tensor:
     shape = (b, caps, cd // caps, h, w)
     mm = m.data.reshape(b, caps, 2, h, w)
     m1, m2 = mm[:, :, 0:1], mm[:, :, 1:2]
-
-    def rebuild(blk):
-        a1, a2, p1, p2 = (a[blk] for a in (m1, m2, v1.data.reshape(shape), v2.data.reshape(shape)))
-        s = np.empty(p1.shape)
-        for sub in _image_blocks(len(s), 8 * cd * h * w):  # the m2 v2 temporary is one block
-            np.multiply(a1[sub], p1[sub], out=s[sub])
-            s[sub] += a2[sub] * p2[sub]
-        return s.reshape(-1, cd, h, w)
+    out = np.empty(shape)
+    for blk in _image_blocks(b, 8 * cd * h * w):  # the m2 v2 temporary is one block
+        np.multiply(m1[blk], v1.data[blk].reshape(-1, *shape[1:]), out=out[blk])
+        out[blk] += m2[blk] * v2.data[blk].reshape(-1, *shape[1:])
 
     def back(g):
         g = g.reshape(shape)
@@ -749,7 +751,7 @@ def gated_sum(v1, v2, m) -> Tensor:
         v1._accumulate((g * m1).reshape(v1.data.shape))
         v2._accumulate((g * m2).reshape(v2.data.shape))
 
-    return _make(rebuild(slice(None)), (v1, v2, m), back, "gated_sum", rebuild)
+    return _make(out.reshape(v1.data.shape), (v1, v2, m), back, "gated_sum")
 
 
 def route_by_agreement(poses, transforms, iters: int) -> Tensor:
@@ -997,9 +999,9 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     Lowered in blocks of images whose columns fit in COLS_BLOCK_BYTES: one
     im2col per block for all groups (channel-major, so group g's columns are
     the g-th block of rows) and one batched matmul (G,Cout/g,K) @ (b,G,K,L).
-    The node keeps only x and w, reads them through value() and can rebuild
-    its output. Its backward lowers each block again for the weight
-    gradient, then scatters the input gradient block by block.
+    The node keeps only x and w, and its rule reads them through value().
+    Its backward lowers each block again for the weight gradient, then
+    scatters the input gradient block by block.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -1014,16 +1016,11 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
         raise ShapeError(f"weight expects {w.data.shape[1]} channels/group, "
                          f"input has {cin // groups}")
     ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(wd, k, stride, padding)
-    wshape = (groups, cout // groups, -1)
-
-    def rebuild(blk):
-        xb = x.value(blk)
-        out = np.empty((len(xb), cout, ho, wo))
-        _lowered(xb, w.value().reshape(wshape), k, stride, padding, out=out)
-        return out
+    out = np.empty((b, cout, ho, wo))
+    _lowered(x.data, w.data.reshape(groups, cout // groups, -1), k, stride, padding, out=out)
 
     def back(g):
-        wmat = w.value().reshape(wshape)
+        wmat = w.value().reshape(groups, cout // groups, -1)
         if w.requires_grad:
             gw = np.zeros(wmat.shape)
             _lowered(x, wmat, k, stride, padding, dy=g, gw=gw)
@@ -1033,7 +1030,7 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
             _input_grad(g, wmat, k, stride, padding, gx)
             x._accumulate(gx)
 
-    return _make(rebuild(slice(None)), (x, w), back, "conv2d", rebuild)
+    return _make(out, (x, w), back, "conv2d")
 
 
 def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,

@@ -24,9 +24,7 @@ from .data import batches
 from .layers import Layer
 from .optim import Adam
 
-# Most images per evaluation block; every block but the last holds a multiple
-# of 16, so each image stays in the same BLAS register tile of the capsule
-# head's batch matmul as in the whole batch, and the capsules keep their bits.
+# Images per evaluation block (see evaluate).
 EVAL_BLOCK = 32
 
 
@@ -129,9 +127,13 @@ def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
     """(error, accuracy, mean margin loss) on a fixed, unshuffled pass.
 
     Runs under no_grad: nothing here is differentiated. Each batch runs
-    through the model in ceil(B / EVAL_BLOCK) blocks, which hold less and
-    give the whole batch's capsules bit for bit; predict and the margin
-    take those.
+    through the model in blocks of EVAL_BLOCK images, which hold less;
+    predict and the margin take the whole batch's capsules. Every block
+    starts on a multiple of 16 images and, unless the batch is smaller,
+    holds at least 16: with numpy's OpenBLAS 0.3.31 (Haswell kernels) the
+    capsules then equal the unsplit batch's bit for bit, while a block of
+    one image takes BLAS's matrix-vector path and moves them by ~1e-15.
+    Other BLAS builds were not checked.
     """
     model.set_mode(False)
     n = images.shape[0]
@@ -139,8 +141,10 @@ def evaluate(model: Layer, images: np.ndarray, labels: np.ndarray,
     margin_sum = 0.0
     with T.no_grad():
         for xb, yb in batches(images, labels, batch_size, shuffle=False, augment=False):
-            units = np.array_split(np.arange(len(xb) // 16), -(-len(xb) // EVAL_BLOCK))
-            blocks = np.split(xb, np.cumsum([16 * len(u) for u in units])[:-1])
+            starts = list(range(0, len(xb), EVAL_BLOCK))
+            if len(starts) > 1 and len(xb) - starts[-1] < 16:
+                starts[-1] -= 16  # a short tail joins half of the block before it
+            blocks = np.split(xb, starts[1:])
             caps = Tensor(np.concatenate([model(Tensor(x))[0].data for x in blocks]))
             wrong += int((predict(caps) != yb).sum())
             margin_sum += float(margin_loss(caps, yb).data) * xb.shape[0]

@@ -2,6 +2,7 @@
 backward pass."""
 
 import contextlib
+import functools
 import platform
 import resource
 import tracemalloc
@@ -477,6 +478,26 @@ class TestBatchNorm:
                 scale = max(np.abs(want).max(), 1.0)
                 assert np.abs(got - want).max() / scale < 1e-12, training
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_mask_is_the_forward_relu_at_a_tie(self, training):
+        # the rule, which keeps no output, passes g exactly where out > 0,
+        # also where the pre-ReLU sum is exactly zero
+        x, gamma, beta, rng = self._inputs("tie")
+        x3 = x.data.reshape(3, 4, -1)
+        if training:
+            rm, rv = np.zeros(4), np.ones(4)
+            n = x3.shape[0] * x3.shape[2]
+            d = x3 - x3.sum(axis=(0, 2))[:, None] * (1.0 / n)
+            xhat0 = d[0, 0, 0] / np.sqrt((d * d).sum(axis=(0, 2)) * (1.0 / n) + 1e-5)[0]
+            beta.data[0] = -(xhat0 * gamma.data[0])
+        else:
+            rm, rv = self._running(rng, 4)
+            rm[0], beta.data[0] = x3[0, 0, 0], 0.0
+        y = T.batch_norm_relu(x, gamma, beta, rm, rv, training)
+        assert y.data[0, 0, 0, 0] == 0.0
+        T.tsum(y).backward()
+        np.testing.assert_array_equal(beta.grad, (y.data > 0).sum(axis=(0, 2, 3)))
+
     def test_eval_image_alone_matches_it_in_a_batch(self):
         x, gamma, beta, rng = self._inputs("alone", shape=(5, 4, 3, 3))
         rm, rv = self._running(rng, 4)
@@ -533,35 +554,40 @@ class TestBatchNorm:
 
 
 class TestRelease:
-    """release() drops the array of a node that its consumers' backward rules
-    rebuild; value() rebuilds it, whole or one block of images, bit for bit."""
+    """release() drops the array of a node that only backward rules read
+    later; value() rebuilds it, whole or one block of images, bit for bit,
+    by re-running the op it is handed or by training BN's own rebuild."""
 
     @staticmethod
     def _node(op, rng):
+        """(node, the op release() re-runs: None for BN's own rebuild)."""
         if op == "batch_norm_relu":  # training statistics
             x = Tensor(rng.normal(size=(6, 4, 5, 5)) * 3 + 1, requires_grad=True)
             gamma = Tensor(rng.uniform(0.5, 2.0, size=4), requires_grad=True)
             beta = Tensor(rng.normal(size=4), requires_grad=True)
-            return T.batch_norm_relu(x, gamma, beta, np.zeros(4), np.ones(4), True)
+            return T.batch_norm_relu(x, gamma, beta, np.zeros(4), np.ones(4), True), None
         if op == "gated_sum":
             v1, v2 = (Tensor(rng.normal(size=(6, 8, 5, 5)), requires_grad=True) for _ in "12")
-            return T.gated_sum(v1, v2, Tensor(rng.uniform(size=(6, 4, 5, 5)), requires_grad=True))
+            m = Tensor(rng.uniform(size=(6, 4, 5, 5)), requires_grad=True)
+            return T.gated_sum(v1, v2, m), T.gated_sum
         if op == "masked weight":  # CapConv's aide weight times its mask
             from encapnet.capconv import _aide_mask
-            return Tensor(rng.normal(size=(8, 12, 1, 1)), requires_grad=True) * _aide_mask(4, 2, 3)
+            w = Tensor(rng.normal(size=(8, 12, 1, 1)), requires_grad=True)
+            return w * T.constant(_aide_mask(4, 2, 3)), T.mul
         x = Tensor(rng.normal(size=(6, 4, 9, 9)), requires_grad=True)
         k, stride, pad = {"conv2d 3x3": (3, 2, 1), "conv2d 1x1": (1, 2, 0)}[op]
-        return T.conv2d(x, Tensor(rng.normal(size=(6, 2, k, k)), requires_grad=True),
-                        stride, pad, 2)
+        w = Tensor(rng.normal(size=(6, 2, k, k)), requires_grad=True)
+        return (T.conv2d(x, w, stride, pad, 2),
+                functools.partial(T.conv2d, stride=stride, padding=pad, groups=2))
 
     @pytest.mark.parametrize("op", ["batch_norm_relu", "gated_sum", "masked weight",
                                     "conv2d 3x3", "conv2d 1x1"])
     def test_rebuild_is_the_forward_output(self, monkeypatch, op):
         # small blocks, so the forward's blocks of images are not the rebuild's
         monkeypatch.setattr(T, "COLS_BLOCK_BYTES", 4096)
-        node = self._node(op, seeded_rng(0, "rebuild", op))
+        node, redo = self._node(op, seeded_rng(0, "rebuild", op))
         want = node.data.copy()
-        node.release()
+        node.release(redo)
         assert node.data is None and node.shape == want.shape
         assert node.value().tobytes() == want.tobytes()
         assert node.value(slice(2, 5)).tobytes() == want[2:5].tobytes()
@@ -581,10 +607,17 @@ class TestRelease:
             data = node.data
             node.release()
             assert node.data is data, node.op
+        # handed an op, release() still keeps what no rule will read
+        walked = T.tsum(x * x)
+        walked.backward()
+        for node in (x, untaped, T.constant(np.ones(3)) * np.ones(3), walked):
+            data = node.data
+            node.release(T.mul)
+            assert node.data is data, node.op
 
     def test_released_node_reports_its_shape(self):
         w = Tensor(np.ones((4, 3, 2, 1)), requires_grad=True) * 2.0
-        w.release()
+        w.release(T.mul)
         assert w.data is None
         assert (w.shape, w.ndim, w.size, w.dtype) == ((4, 3, 2, 1), 4, 24, np.float64)
 
@@ -603,8 +636,9 @@ class TestRelease:
             y = T.batch_norm_relu(s, gamma, beta, np.zeros(8), np.ones(8), True)
             z = T.conv2d(y, w, 2, 1)
             if release:
-                for node in (mw, s, y):
-                    node.release()
+                mw.release(T.mul)
+                s.release(T.gated_sum)
+                y.release()
             T.tsum(z * z).backward()
             return [t.grad for t in (x, w, gamma, beta, m)]
 
