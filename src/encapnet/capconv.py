@@ -155,17 +155,3 @@ class EncapModule(Layer):
             y = layer(y) + y
         return y, ModuleTrace(input=x, type1_out=type1_out, output=y)
 
-
-def mapping_kernel_extent(dim_out: int, caps: int, n_out: int) -> int:
-    """Output-channel extent of an iterative layer's vote kernel."""
-    return dim_out * caps * n_out
-
-
-def mapping_param_reduction(n_out: int) -> float:
-    """How many times fewer mapping parameters one-pass needs: n2/2."""
-    return n_out / 2.0
-
-
-def routing_ops_reduction(spatial: int, dim_out: int) -> float:
-    """How many times fewer routing ops one-pass needs: S^4/d2."""
-    return spatial ** 4 / dim_out

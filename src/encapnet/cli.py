@@ -111,7 +111,7 @@ def cmd_train(args) -> int:
         tcfg = replace(tcfg, lam=args.lam)
     dc = _apply_data_overrides(rc.data, args)
 
-    data = load_dataset(dc)
+    data = load_dataset(dc, rc.net.n_classes, rc.net.image_size)
     model = build_network(rc.net, seed=tcfg.seed)
     log = None if args.quiet else (lambda s: print(s, flush=True))
     result = train_model(model, data, tcfg, config_text=rc.text,
@@ -135,7 +135,7 @@ def cmd_eval(args) -> int:
     dc = _apply_data_overrides(rc.data, args)
     model = build_network(rc.net, seed=rc.train.seed)
     restore_model(model, ck)
-    _, _, test_x, test_y = load_dataset(dc)
+    _, _, test_x, test_y = load_dataset(dc, rc.net.n_classes, rc.net.image_size)
     error, accuracy, margin = evaluate(model, test_x, test_y, args.batch)
     print(f"test error {error:.6f}  accuracy {accuracy:.6f}  "
           f"margin loss {margin:.6f}  ({test_x.shape[0]} examples)")
@@ -195,8 +195,6 @@ def cmd_ot_bench(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    from .capconv import (mapping_kernel_extent, mapping_param_reduction,
-                          routing_ops_reduction)
     from .configfile import load_config
     from .network import build_network, parameter_table
 
@@ -209,14 +207,6 @@ def cmd_param_count(args) -> int:
             print(f"{name:<{width}s}  {str(shape):>20s}  {count:>10d}")
     print(f"family {rc.net.family}  depth {model.depth}  "
           f"parameters {total} ({total / 1e6:.3f} M)")
-
-    if rc.net.family == "capnet_dynamic":
-        h = rc.net.stem_hw()
-        n2 = rc.net.hidden_caps * h * h
-        extent = mapping_kernel_extent(rc.net.hidden_dim, rc.net.caps_channels, n2)
-        print(f"iterative mapping kernel extent {extent} "
-              f"(x{mapping_param_reduction(n2):.0f} params vs one-pass, "
-              f"x{routing_ops_reduction(h, rc.net.hidden_dim):.0f} routing ops)")
     return 0
 
 
@@ -237,7 +227,7 @@ def cmd_routing_hist(args) -> int:
                           f"not {rc.net.family}")
     restore_model(model, ck)
     dc = _apply_data_overrides(rc.data, args)
-    _, _, test_x, test_y = load_dataset(dc)
+    _, _, test_x, test_y = load_dataset(dc, rc.net.n_classes, rc.net.image_size)
     test_x, test_y = test_x[:args.limit], test_y[:args.limit]
 
     layer = model.class_layer if args.layer == "class" else model.hidden_layer

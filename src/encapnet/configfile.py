@@ -2,8 +2,9 @@
 
 Sections: [net], [stem], [module1..N] (in order, no gaps), [ot], [train],
 [data]. Unknown keys are configuration errors so typos fail loudly instead
-of silently keeping a default, and so is a key the configured family never
-reads: [net], [moduleN] and [ot] keys are checked against FAMILY_KEYS.
+of silently keeping a default, and so is a key the run never reads: [net],
+[moduleN] and [ot] keys are checked against the configured family's
+FAMILY_KEYS, and [data] keys against the configured source's SOURCE_KEYS.
 """
 
 from __future__ import annotations
@@ -47,28 +48,38 @@ def _strs(v: str) -> tuple:
 # tuple-valued keys holding words rather than numbers
 _STRING_TUPLES = {"ot"}
 
-_NET_SHARED = {"family", "n_classes", "in_channels", "image_size", "caps_channels"}
+_NET_SHARED = {"family", "n_classes", "image_size", "caps_channels"}
 _MODULE_KEYS = {f.name for f in fields(ModuleSpec)}
 
 # The [net], [moduleN] and [ot] keys each family reads. A key missing here is
-# one the family's model never looks at; a section kind missing is one the
-# family reads nothing from.
+# one the family's model never looks at.
 FAMILY_KEYS = {
     "encapnet": {"net": _NET_SHARED | {"class_caps_dim"},
                  "module": _MODULE_KEYS,
                  "ot": {f.name for f in fields(OTConfig)}},
     "capnet_dynamic": {"net": _NET_SHARED | {"class_caps_dim", "hidden_caps",
-                                             "hidden_dim", "routing_iters"}},
+                                             "hidden_dim", "routing_iters"},
+                       "module": set(), "ot": set()},
     "vanilla_cnn": {"net": _NET_SHARED,
-                    "module": _MODULE_KEYS - {"ot"}},
+                    "module": _MODULE_KEYS - {"ot"}, "ot": set()},
+}
+
+_DATA_SHARED = {"source", "limit_train", "limit_test"}
+
+# The [data] keys each source reads.
+SOURCE_KEYS = {
+    "synthetic": _DATA_SHARED | {"n_train", "n_test", "noise", "seed"},
+    "idx": _DATA_SHARED | {"dir", "train_images", "train_labels",
+                           "test_images", "test_labels"},
 }
 
 
-def _apply(section, cls, family=None, kind=None, **fixed):
+def _apply(section, cls, allowed=None, reader="", **fixed):
     """Build a dataclass from an INI section with type-driven casting.
 
-    With a family, a key outside FAMILY_KEYS[family][kind] is rejected. A
-    value that does not cast and a required key left out are rejected too.
+    Given an allowed key set, a key outside it is rejected as one that the
+    reader (a family or a data source) never reads. A value that does not
+    cast and a required key left out are rejected too.
     """
     kwargs = dict(fixed)
     by_name = {f.name: f for f in fields(cls)}
@@ -77,9 +88,8 @@ def _apply(section, cls, family=None, kind=None, **fixed):
             raise ConfigError(f"{key!r} is set by the loader and cannot appear in the file")
         if key not in by_name:
             raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
-        if family in FAMILY_KEYS and key not in FAMILY_KEYS[family].get(kind, ()):
-            raise ConfigError(
-                f"[{section.name}] {key} is not read by the {family} family")
+        if allowed is not None and key not in allowed:
+            raise ConfigError(f"[{section.name}] {key} is not read by {reader}")
         f = by_name[key]
         raw = section[key]
         try:
@@ -115,22 +125,29 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("config needs a [net] section")
 
     family = cp["net"].get("family", NetworkConfig.family).strip()
+    reads = FAMILY_KEYS.get(family, {})  # {}: NetworkConfig rejects the family
+    family_reader = f"the {family} family"
+
     stem = _apply(cp["stem"], StemSpec) if "stem" in cp else StemSpec()
 
     mods = []
     i = 1
     while f"module{i}" in cp:
-        mods.append(_apply(cp[f"module{i}"], ModuleSpec, family, "module"))
+        mods.append(_apply(cp[f"module{i}"], ModuleSpec, reads.get("module"), family_reader))
         i += 1
     for name in cp.sections():
         if name.startswith("module") and name not in {f"module{j + 1}" for j in range(len(mods))}:
             raise ConfigError(f"module sections must be consecutive from module1; found {name}")
 
-    ot = _apply(cp["ot"], OTConfig, family, "ot") if "ot" in cp else OTConfig()
-    net = _apply(cp["net"], NetworkConfig, family, "net",
+    ot = _apply(cp["ot"], OTConfig, reads.get("ot"), family_reader) if "ot" in cp else OTConfig()
+    net = _apply(cp["net"], NetworkConfig, reads.get("net"), family_reader,
                  stem=stem, modules=tuple(mods), ot=ot)
     train = _apply(cp["train"], TrainConfig) if "train" in cp else TrainConfig()
-    data = _apply(cp["data"], DataConfig) if "data" in cp else DataConfig()
+    data = DataConfig()
+    if "data" in cp:
+        source = cp["data"].get("source", DataConfig.source).strip()
+        data = _apply(cp["data"], DataConfig, SOURCE_KEYS.get(source),
+                      f"source = {source}")
     return RunConfig(net=net, train=train, data=data, text=text)
 
 

@@ -88,8 +88,6 @@ class DataConfig:
     test_labels: str = "t10k-labels-idx1-ubyte"
     n_train: int = 2000
     n_test: int = 400
-    n_classes: int = 10
-    image_size: int = 28
     noise: float = 0.05
     seed: int = 0
     limit_train: int = 0
@@ -155,18 +153,30 @@ def synth_generate(n: int, n_classes: int = 10, image_size: int = 28,
     return images, labels
 
 
-def load_dataset(dc: DataConfig):
-    """(train_x, train_y, test_x, test_y); images are (N, H, W) in [0, 1]."""
+def load_dataset(dc: DataConfig, n_classes: int, image_size: int):
+    """(train_x, train_y, test_x, test_y) for a network of n_classes classes
+    that takes image_size-square images; images are (N, H, W) in [0, 1].
+
+    The synthetic set is rendered at that size. IDX images of another size,
+    or a label outside range(n_classes), raise DataFormatError.
+    """
     if dc.source == "idx":
-        tx = load_idx(os.path.join(dc.dir, dc.train_images))
-        ty = load_idx(os.path.join(dc.dir, dc.train_labels))
-        ex = load_idx(os.path.join(dc.dir, dc.test_images))
-        ey = load_idx(os.path.join(dc.dir, dc.test_labels))
+        paths = [os.path.join(dc.dir, f) for f in (dc.train_images, dc.train_labels,
+                                                   dc.test_images, dc.test_labels)]
+        tx, ty, ex, ey = (load_idx(p) for p in paths)
+        for path, x in zip(paths[::2], (tx, ex)):
+            if x.shape[1:] != (image_size, image_size):
+                raise DataFormatError(
+                    f"{path}: images are {'x'.join(map(str, x.shape[1:]))}, "
+                    f"but [net] image_size is {image_size}")
+        for path, y in zip(paths[1::2], (ty, ey)):
+            if y.size and y.max() >= n_classes:
+                raise DataFormatError(
+                    f"{path}: label {y.max()} is out of range for [net] "
+                    f"n_classes = {n_classes}")
     else:
-        tx, ty = synth_generate(dc.n_train, dc.n_classes, dc.image_size,
-                                dc.noise, dc.seed)
-        ex, ey = synth_generate(dc.n_test, dc.n_classes, dc.image_size,
-                                dc.noise, dc.seed + 1)
+        tx, ty = synth_generate(dc.n_train, n_classes, image_size, dc.noise, dc.seed)
+        ex, ey = synth_generate(dc.n_test, n_classes, image_size, dc.noise, dc.seed + 1)
     if tx.shape[0] != ty.shape[0] or ex.shape[0] != ey.shape[0]:
         raise DataFormatError("image/label counts disagree")
     if dc.limit_train:

@@ -99,7 +99,7 @@ def _case_extractor():
 def toy_network():
     """Two modules, both feedback kinds, every mechanism in one graph."""
     cfg = NetworkConfig(
-        family="encapnet", n_classes=3, in_channels=1, image_size=12,
+        family="encapnet", n_classes=3, image_size=12,
         stem=StemSpec((8,), (1,)), caps_channels=4, class_caps_dim=4,
         modules=(ModuleSpec(2, 4, stride=2, n_type2=1, ot=("main", "skip")),
                  ModuleSpec(4, 4, stride=2, n_type2=0, ot=("main",))),

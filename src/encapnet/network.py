@@ -82,7 +82,6 @@ class ModuleSpec:
 class NetworkConfig:
     family: str = "encapnet"
     n_classes: int = 10
-    in_channels: int = 1
     image_size: int = 28
     stem: StemSpec = field(default_factory=StemSpec)
     caps_channels: int = 8
@@ -99,7 +98,7 @@ class NetworkConfig:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.image_size < 1 or self.in_channels < 1:
+        if self.image_size < 1:
             raise ConfigError("bad input geometry")
         if self.family in ("encapnet", "vanilla_cnn"):
             if not self.modules:
@@ -141,12 +140,12 @@ class NetworkConfig:
 class Stem(Layer):
     _children = ("convs", "bns")
 
-    def __init__(self, spec: StemSpec, in_channels: int, seed: int = 0, name: str = "stem"):
+    def __init__(self, spec: StemSpec, seed: int = 0, name: str = "stem"):
         super().__init__()
         self.spec = spec
         pad = spec.kernel // 2
         self.convs, self.bns = [], []
-        cin = in_channels
+        cin = 1  # both data sources give one-channel images
         for i, (cout, s) in enumerate(zip(spec.channels, spec.strides)):
             rng = seeded_rng(seed, name, f"conv{i}")
             self.convs.append(Conv2d(cin, cout, spec.kernel, s, pad, rng=rng))
@@ -177,7 +176,7 @@ class EncapNet(Layer):
         super().__init__()
         self.cfg = cfg
         c = cfg.caps_channels
-        self.stem = Stem(cfg.stem, cfg.in_channels, seed=seed)
+        self.stem = Stem(cfg.stem, seed=seed)
         self.modules, self.feedback, self._ot_kinds = [], [], []
         hws = cfg.module_hws()
         for i, ms in enumerate(cfg.modules):
@@ -230,7 +229,7 @@ class CapNet(Layer):
     def __init__(self, cfg: NetworkConfig, seed: int = 0):
         super().__init__()
         self.cfg = cfg
-        self.stem = Stem(cfg.stem, cfg.in_channels, seed=seed)
+        self.stem = Stem(cfg.stem, seed=seed)
         h = cfg.stem_hw()
         caps_in = cfg.caps_channels
         dim_in = cfg.stem.channels[-1] // caps_in
@@ -268,7 +267,7 @@ class VanillaCNN(Layer):
         super().__init__()
         self.cfg = cfg
         c = cfg.caps_channels
-        self.stem = Stem(cfg.stem, cfg.in_channels, seed=seed)
+        self.stem = Stem(cfg.stem, seed=seed)
         self.convs, self.bns = [], []
         cin = cfg.stem.channels[-1]
         for i, ms in enumerate(cfg.modules):

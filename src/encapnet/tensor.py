@@ -398,19 +398,6 @@ def exp(a) -> Tensor:
     return _make(out_data, (a,), back, "exp")
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError("log of a negative value")
-    with np.errstate(divide="ignore"):
-        out_data = np.log(a.data)
-
-    def back(g):
-        a._accumulate(g / a.data)
-
-    return _make(out_data, (a,), back, "log")
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0):
@@ -421,17 +408,6 @@ def sqrt(a) -> Tensor:
         a._accumulate(g * 0.5 / out_data)
 
     return _make(out_data, (a,), back, "sqrt")
-
-
-def maximum(a, floor: float) -> Tensor:
-    """Elementwise max(a, floor) for a scalar floor."""
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, floor)
-
-    def back(g):
-        a._accumulate(g * (a.data > floor))
-
-    return _make(out_data, (a,), back, "maximum")
 
 
 # -- reductions / shape ------------------------------------------------------
@@ -499,21 +475,6 @@ def concat(tensors, axis: int) -> Tensor:
             start += n
 
     return _make(out_data, tuple(tensors), back, "concat")
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out_data = a.data[idx]
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        a._accumulate(full)
-
-    return _make(out_data, (a,), back, "slice")
 
 
 # -- linear algebra ------------------------------------------------------------
@@ -1080,9 +1041,12 @@ def conv_transpose2d(x, w, stride: int = 1, padding: int = 0,
 def find_first_nonfinite(root: Tensor) -> str | None:
     """Name of the earliest op in forward order whose output is non-finite.
 
+    Constants, which have no parents, come last: the library builds them from
+    upstream values (the stop-gradient Sinkhorn plan, say), so a non-finite
+    one was caused by an op upstream that the walk may not have reached yet.
     Raises GraphReleased on a graph that backward() has walked.
     """
-    for node in root._topo():
+    for node in sorted(root._topo(), key=lambda n: n.op == "const"):  # stable
         if not np.all(np.isfinite(node.value())):
             return node.op
     return None

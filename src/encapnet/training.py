@@ -41,7 +41,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     augment: bool = False
-    reshuffle_each_epoch: bool = True
     seed: int = 0
     eval_batch: int = 256
     early_stop_error: float = 0.0
@@ -191,7 +190,6 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
         for epoch in range(tcfg.max_epochs):
             opt.lr = lr_at(epoch, tcfg)
             model.set_mode(True)
-            shuffle_epoch = epoch if tcfg.reshuffle_each_epoch else 0
             n_seen = 0
             wrong = 0
             loss_sum = 0.0
@@ -200,7 +198,7 @@ def train_model(model: Layer, data, tcfg: TrainConfig, config_text: str = "",
             ot_seen = [False] * n_modules
             for bi, (xb, yb) in enumerate(batches(
                     train_x, train_y, tcfg.batch_size, seed=tcfg.seed,
-                    epoch=shuffle_epoch, shuffle=True, augment=tcfg.augment)):
+                    epoch=epoch, shuffle=True, augment=tcfg.augment)):
                 caps, ots = model(Tensor(xb), with_feedback=use_feedback)
                 margin = margin_loss(caps, yb)
                 loss = margin

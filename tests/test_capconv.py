@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from encapnet import tensor as T
-from encapnet.capconv import (CapConv, CapConvSpec, EncapModule,
-                              mapping_kernel_extent, mapping_param_reduction,
-                              routing_ops_reduction)
+from encapnet.capconv import CapConv, CapConvSpec, EncapModule
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.tensor import Tensor, seeded_rng
 
@@ -27,12 +25,17 @@ def stacked_gate_reference(v1, v2, w, caps):
 
 
 def gated_sum_reference(v1, v2, m, caps):
-    """m1 * v1 + m2 * v2 from broadcast ops on per-capsule slices of m."""
+    """m1 * v1 + m2 * v2 from broadcast ops on per-capsule slices of m.
+
+    A coefficient is picked by a one-hot product summed over the pair axis,
+    not by indexing m's array, so that m's gradient flows through the tape.
+    """
     b, cd, h, wd = v1.shape
     shape = (b, caps, cd // caps, h, wd)
     mm = T.reshape(m, (b, caps, 2, h, wd))
-    s = (T.slice_axis(mm, 2, 0, 1) * T.reshape(v1, shape)
-         + T.slice_axis(mm, 2, 1, 2) * T.reshape(v2, shape))
+    m1, m2 = (T.tsum(mm * T.constant(np.eye(2)[k].reshape(2, 1, 1)), axis=2, keepdims=True)
+              for k in (0, 1))
+    s = m1 * T.reshape(v1, shape) + m2 * T.reshape(v2, shape)
     return T.reshape(s, v1.shape)
 
 
@@ -233,14 +236,3 @@ class TestEncapModule:
     def test_negative_type2_rejected(self):
         with pytest.raises(ConfigError):
             EncapModule(2, 4, 4, n_type2=-1)
-
-
-class TestComplexity:
-    def test_mapping_extent(self):
-        assert mapping_kernel_extent(16, 32, 2048) == 1_048_576
-
-    def test_param_reduction(self):
-        assert mapping_param_reduction(2048) == 1024.0
-
-    def test_ops_reduction(self):
-        assert routing_ops_reduction(8, 16) == 256.0

@@ -43,8 +43,6 @@ weight_decay = 0.0
 source = synthetic
 n_train = 32
 n_test = 16
-n_classes = 4
-image_size = 12
 """
 
 CAPNET_INI = """
@@ -74,8 +72,6 @@ weight_decay = 0.0
 source = synthetic
 n_train = 24
 n_test = 12
-n_classes = 4
-image_size = 12
 """
 
 

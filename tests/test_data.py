@@ -142,15 +142,44 @@ class TestSynthetic:
 class TestLoadDataset:
     def test_synthetic_split_seeds_differ(self):
         dc = DataConfig(source="synthetic", n_train=30, n_test=20, seed=3)
-        tx, ty, ex, ey = load_dataset(dc)
+        tx, ty, ex, ey = load_dataset(dc, 10, 28)
         assert tx.shape[0] == 30 and ex.shape[0] == 20
         assert not np.array_equal(tx[:20], ex)
 
     def test_limits_applied(self):
         dc = DataConfig(source="synthetic", n_train=30, n_test=20,
                         limit_train=12, limit_test=7)
-        tx, ty, ex, ey = load_dataset(dc)
+        tx, ty, ex, ey = load_dataset(dc, 10, 28)
         assert tx.shape[0] == 12 and ex.shape[0] == 7
+
+    def test_synthetic_set_rendered_at_the_network_geometry(self):
+        dc = DataConfig(source="synthetic", n_train=12, n_test=6)
+        tx, ty, ex, ey = load_dataset(dc, 3, 9)
+        assert tx.shape == (12, 9, 9) and ex.shape == (6, 9, 9)
+        np.testing.assert_array_equal(ty, np.arange(12) % 3)
+
+    @staticmethod
+    def _idx_set(tmp_path, size=28, top_label=9):
+        dc = DataConfig(source="idx", dir=str(tmp_path))
+        y = np.arange(10) % (top_label + 1)
+        for images, labels in ((dc.train_images, dc.train_labels),
+                               (dc.test_images, dc.test_labels)):
+            save_idx(str(tmp_path / images), np.zeros((10, size, size), dtype=np.uint8))
+            save_idx(str(tmp_path / labels), y)
+        return dc
+
+    def test_idx_set_matching_the_network_loads(self, tmp_path):
+        tx, ty, ex, ey = load_dataset(self._idx_set(tmp_path), 10, 28)
+        assert tx.shape == ex.shape == (10, 28, 28) and ty.max() == 9
+
+    def test_idx_image_size_mismatch_names_both_sizes(self, tmp_path):
+        # 12x12 images under a 28-pixel network fail at load, not in a conv
+        with pytest.raises(DataFormatError, match=r"12x12.*image_size is 28"):
+            load_dataset(self._idx_set(tmp_path, size=12), 10, 28)
+
+    def test_idx_label_outside_the_classes_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"label 9 .*n_classes = 5"):
+            load_dataset(self._idx_set(tmp_path), 5, 28)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
@@ -242,8 +271,6 @@ lam = 10.0
 source = synthetic
 n_train = 32
 n_test = 16
-n_classes = 4
-image_size = 12
 """
 
 # CONFIG_TEXT cut down, for each family, to the keys that family reads
@@ -324,6 +351,34 @@ class TestConfigFile:
             parse_config_text(bad)
         assert family in str(err.value)
 
+    @pytest.mark.parametrize("section, line", [
+        ("net", "in_channels = 1"),
+        ("train", "reshuffle_each_epoch = true"),
+        ("data", "n_classes = 4"),
+        ("data", "image_size = 12"),
+    ])
+    def test_deleted_geometry_and_shuffle_keys_rejected(self, section, line):
+        # [net] alone sets the input geometry, and every epoch reshuffles
+        bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
+        with pytest.raises(ConfigError, match=f"unknown key {line.split(' = ')[0]!r}"):
+            parse_config_text(bad)
+
+    @pytest.mark.parametrize("source, line", [
+        ("idx", "n_train = 32"),
+        ("idx", "noise = 0.1"),
+        ("idx", "seed = 1"),
+        ("synthetic", "dir = data"),
+        ("synthetic", "train_images = x"),
+    ])
+    def test_key_the_source_does_not_read_rejected(self, source, line):
+        data = {"idx": "[data]\nsource = idx\ndir = data\n",
+                "synthetic": "[data]\nsource = synthetic\nn_train = 32\n"}[source]
+        text = CONFIG_TEXT[:CONFIG_TEXT.index("[data]")] + data
+        assert parse_config_text(text).data.source == source
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"\[data\] {key} is not read by source = {source}"):
+            parse_config_text(text + line + "\n")
+
     def test_module_gap_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text(CONFIG_TEXT.replace("[module1]", "[module2]"))
@@ -359,7 +414,8 @@ class TestConfigFile:
             parse_config_text(CONFIG_TEXT.replace(line, bad_line, 1))
 
     def test_percent_sign_is_a_plain_character(self):
-        text = CONFIG_TEXT.replace("source = synthetic", "dir = runs/100%\nsource = synthetic")
+        text = CONFIG_TEXT.replace("source = synthetic\nn_train = 32\nn_test = 16\n",
+                                   "source = idx\ndir = runs/100%\n")
         rc = parse_config_text(text)
         assert rc.data.dir == "runs/100%"
 

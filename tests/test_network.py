@@ -26,7 +26,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def small_cfg(**kw):
     base = dict(
-        family="encapnet", n_classes=4, in_channels=1, image_size=12,
+        family="encapnet", n_classes=4, image_size=12,
         stem=StemSpec(channels=(8,), strides=(1,)), caps_channels=4,
         class_caps_dim=4,
         modules=(ModuleSpec(2, 4, stride=2, n_type2=1, ot=("main", "skip")),),
@@ -289,16 +289,22 @@ class TestRelease:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_culprit_found_in_a_released_output(self):
         # a finite but huge stem BN gamma overflows that BN-ReLU's output,
-        # which the stem released once the next conv had read it (no
-        # feedback: its stop-gradient plan is a constant that the walk may
-        # reach first)
-        net = build_network(small_cfg(**self.CFG), seed=0)
-        net.stem.bns[0].gamma.data[0] = 1e308
-        loss = self._loss(net, with_feedback=False)
-        first = next(n for n in loss._topo() if n.op == "batch_norm_relu")
-        assert first.data is None
-        assert find_first_nonfinite(loss) == "batch_norm_relu"
-        assert not np.isfinite(first.value()).all()
+        # which the stem released once the next conv had read it; with
+        # feedback on, the walk reaches the non-finite stop-gradient plans,
+        # constants built from that output, before the stem
+        for with_feedback in (False, True):
+            net = build_network(small_cfg(**self.CFG), seed=0)
+            net.stem.bns[0].gamma.data[0] = 1e308
+            loss = self._loss(net, with_feedback=with_feedback)
+            order = loss._topo()
+            first = next(n for n in order if n.op == "batch_norm_relu")
+            assert first.data is None
+            if with_feedback:
+                const = next(n for n in order if n.op == "const"
+                             and not np.isfinite(n.value()).all())
+                assert order.index(const) < order.index(first)
+            assert find_first_nonfinite(loss) == "batch_norm_relu", with_feedback
+            assert not np.isfinite(first.value()).all()
 
 
 class TestParameterTable:
