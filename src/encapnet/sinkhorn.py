@@ -5,13 +5,12 @@ a small extractor maps both real and generated blobs to feature vectors; the
 debiased Sinkhorn divergence 2 W(x,y) - W(x,x) - W(y,y) between the two
 feature sets is the agreement penalty.
 
-There is one Sinkhorn recursion, sinkhorn_log_plan: L log-domain scaling
-rounds built from tape ops over a (..., B2, B1) cost, whose leading axes are
-independent problems. The debiased divergence stacks its three costs into
-one (3, B, B) batch and solves them in a single call. By default the plan is
-treated as a constant during backprop: the same recursion runs under
-tensor.no_grad and the gradient w.r.t. the cost is the plan itself.
-Switching stop_gradient off differentiates through all L rounds instead.
+Each W is <Q, P>: the cosine cost Q against the plan P that L log-domain
+scaling rounds reach (Cuturi 2013). sinkhorn_plan solves P in plain numpy,
+off the tape, over a (..., B2, B1) cost whose leading axes are independent
+problems; the debiased divergence stacks its three costs into one (3, B, B)
+batch and solves them in a single call. Backprop holds P fixed, so the
+gradient of W with respect to Q is the plan itself.
 
 Conventions: cost matrices are (Bx, By) with rows indexed by the generated
 set; marginals are uniform, 1/m per atom, so total transported mass is 1.
@@ -35,7 +34,6 @@ from .tensor import Tensor, as_tensor, seeded_rng
 class OTConfig:
     eps: float = 0.1
     iters: int = 10
-    stop_gradient: bool = True
 
     def __post_init__(self):
         if self.eps <= 0 or self.iters < 1:
@@ -52,8 +50,14 @@ def cost_matrix(x: Tensor, y: Tensor) -> Tensor:
     return 1.0 - T.matmul(xn, T.transpose(yn))
 
 
-def sinkhorn_log_plan(Q, eps: float, iters: int) -> Tensor:
-    """log P after L scaling rounds against uniform marginals, on the tape.
+def _log_scaling(bias: float, a: np.ndarray, axis: int) -> np.ndarray:
+    """bias - log(sum(exp(a))) over axis, kept as a length-1 axis."""
+    m = a.max(axis=axis, keepdims=True)
+    return bias - (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)))
+
+
+def sinkhorn_plan(Q, eps: float, iters: int) -> np.ndarray:
+    """The plan after L scaling rounds against uniform marginals, as an array.
 
     Q is (..., B2, B1); leading axes index independent problems. Each round
     refreshes the column scaling from the current row scaling and then the row
@@ -61,37 +65,29 @@ def sinkhorn_log_plan(Q, eps: float, iters: int) -> Tensor:
     pins the column marginal exactly and leaves the row marginal one half-step
     stale.
     """
-    Q = as_tensor(Q)
+    Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim < 2:
         raise ShapeError(f"cost matrix must be at least 2-D, got {Q.shape}")
     if iters < 1:
         raise ConfigError("iters must be >= 1")
     b2, b1 = Q.shape[-2:]
+    la0, lb0 = -np.log(b1), -np.log(b2)
     logK = Q * (-1.0 / eps)
-    lb = T.constant(np.full((b2, 1), -np.log(b2)))
+    lb = np.full((b2, 1), lb0)
     for _ in range(iters):
-        la = (-np.log(b1)) - T.logsumexp(logK + lb, axis=-2, keepdims=True)
-        lb = (-np.log(b2)) - T.logsumexp(logK + la, axis=-1, keepdims=True)
-    la = (-np.log(b1)) - T.logsumexp(logK + lb, axis=-2, keepdims=True)
-    return lb + logK + la
+        la = _log_scaling(la0, logK + lb, -2)
+        lb = _log_scaling(lb0, logK + la, -1)
+    la = _log_scaling(la0, logK + lb, -2)
+    return np.exp(lb + logK + la)
 
 
-def sinkhorn_plan(Q, eps: float, iters: int) -> np.ndarray:
-    """The plan exp(log P) of sinkhorn_log_plan as an array; builds no tape."""
-    with T.no_grad():
-        return np.exp(sinkhorn_log_plan(Q, eps, iters).data)
-
-
-def ot_loss(Q, eps: float = 0.1, iters: int = 10, stop_gradient: bool = True) -> Tensor:
+def ot_loss(Q, eps: float = 0.1, iters: int = 10) -> Tensor:
     """<Q, P> per problem after L Sinkhorn rounds, summed over the last two axes.
 
-    When stopped, P is a constant, so the gradient w.r.t. Q is the plan itself.
+    P is a constant, so the gradient w.r.t. Q is the plan itself.
     """
     Q = as_tensor(Q)
-    if stop_gradient:
-        P = T.constant(sinkhorn_plan(Q, eps, iters))
-    else:
-        P = T.exp(sinkhorn_log_plan(Q, eps, iters))
+    P = T.constant(sinkhorn_plan(Q.data, eps, iters))
     return T.tsum(Q * P, axis=(-2, -1))
 
 
@@ -107,7 +103,7 @@ def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
     b = x.shape[0]
     costs = [T.reshape(cost_matrix(a, c), (1, b, b))
              for a, c in ((x, y), (x, x), (y, y))]
-    w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters, cfg.stop_gradient)
+    w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters)
     return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
 
 

@@ -34,8 +34,8 @@ the gradient of any input that does not require one.
 
 Every Tensor holds float64: the constructor converts lists, scalars and
 float32 or integer arrays, and stores float64 arrays without a copy. The
-finite-difference gradient checks and the bitwise stop-gradient tests rely
-on that precision.
+finite-difference gradient checks, and the bitwise test that the Sinkhorn
+penalty's gradient is its plan, rely on that precision.
 
 On glibc, importing this module fixes malloc's mmap and trim thresholds
 (_hold_heap), so that memory a step frees is reused by the next one.
@@ -494,22 +494,6 @@ def matmul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(out_data, (a, b), back, "matmul")
-
-
-def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_keep = m + np.log(s)
-    out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-
-    def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(g * (e / s))
-
-    return _make(out_data, (a,), back, "logsumexp")
 
 
 # -- normalisation ---------------------------------------------------------------
@@ -1042,7 +1026,7 @@ def find_first_nonfinite(root: Tensor) -> str | None:
     """Name of the earliest op in forward order whose output is non-finite.
 
     Constants, which have no parents, come last: the library builds them from
-    upstream values (the stop-gradient Sinkhorn plan, say), so a non-finite
+    upstream values (the Sinkhorn plan, say), so a non-finite
     one was caused by an op upstream that the walk may not have reached yet.
     Raises GraphReleased on a graph that backward() has walked.
     """

@@ -138,8 +138,9 @@ def test_sinkhorn_invariants():
 def test_gradient_suite_every_layer():
     # central differences at 64-bit over every building block: squash, capFC,
     # margin loss, the capsule gate, capConv with BN-ReLU-squash, R=1 and R=3
-    # dynamic routing, generator, extractor, ot_loss under stop-gradient, and
-    # a 2-module net with the total loss
+    # dynamic routing, generator, extractor, the Sinkhorn divergence, and a
+    # 2-module net with the total loss; the penalty's value is <Q, P> and its
+    # gradient holds P fixed, so the differences run with frozen plans
     t0 = time.perf_counter()
     rows = run_suite(GROUPS["all"])
     elapsed = time.perf_counter() - t0

@@ -135,6 +135,15 @@ def test_bad_config_exits_with_message(tmp_path, capsys, line, bad_line, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_data_dir_under_synthetic_source_rejected(encap_ini, tmp_path, capsys):
+    # the synthetic source reads no files, so a directory for them is an error
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", encap_ini, "--out-dir", str(out_dir),
+                 "--quiet", "--data-dir", str(tmp_path / "nonexistent")]) == 2
+    assert capsys.readouterr().err == "error: --data-dir is not read by source = synthetic\n"
+    assert not out_dir.exists()
+
+
 def test_gradcheck_core(capsys):
     assert main(["gradcheck", "--group", "core"]) == 0
     out = capsys.readouterr().out

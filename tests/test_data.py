@@ -356,9 +356,11 @@ class TestConfigFile:
         ("train", "reshuffle_each_epoch = true"),
         ("data", "n_classes = 4"),
         ("data", "image_size = 12"),
+        ("ot", "stop_gradient = true"),
     ])
     def test_deleted_geometry_and_shuffle_keys_rejected(self, section, line):
-        # [net] alone sets the input geometry, and every epoch reshuffles
+        # [net] alone sets the input geometry, every epoch reshuffles, and
+        # the Sinkhorn plan is always held fixed in backprop
         bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
         with pytest.raises(ConfigError, match=f"unknown key {line.split(' = ')[0]!r}"):
             parse_config_text(bad)

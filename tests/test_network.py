@@ -290,7 +290,7 @@ class TestRelease:
     def test_nonfinite_culprit_found_in_a_released_output(self):
         # a finite but huge stem BN gamma overflows that BN-ReLU's output,
         # which the stem released once the next conv had read it; with
-        # feedback on, the walk reaches the non-finite stop-gradient plans,
+        # feedback on, the walk reaches the non-finite Sinkhorn plans,
         # constants built from that output, before the stem
         for with_feedback in (False, True):
             net = build_network(small_cfg(**self.CFG), seed=0)

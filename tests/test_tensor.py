@@ -85,22 +85,6 @@ class TestElementwise:
         with pytest.raises(DomainError):
             T.sqrt(Tensor(np.array([1.0, -1e-12])))
 
-    def test_logsumexp_matches_numpy(self):
-        rng = seeded_rng(0, "lse")
-        x = rng.normal(size=(4, 9)) * 20
-        got = T.logsumexp(Tensor(x), axis=1).data
-        want = np.log(np.exp(x - x.max(1, keepdims=True)).sum(1)) + x.max(1)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_logsumexp_grad_middle_axis_keepdims(self):
-        # the reduction the batched Sinkhorn column update uses
-        rng = seeded_rng(0, "lse3")
-        x = Tensor(rng.normal(size=(2, 3, 4)) * 3, requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 1, 4)))
-        errs = check_grads(
-            lambda: T.tsum(T.logsumexp(x, axis=-2, keepdims=True) * w), [x])
-        assert max(errs) < 1e-6
-
 
 class TestShapesAndReductions:
     def test_reshape_transpose_concat_grads(self):
