@@ -23,7 +23,6 @@ _EXPORTS = {
     "EncapModule": "capconv",
     "OTConfig": "sinkhorn",
     "sinkhorn_plan": "sinkhorn",
-    "ot_loss": "sinkhorn",
     "sinkhorn_divergence": "sinkhorn",
     "brute_force_ot": "sinkhorn",
     "FeedbackUnit": "sinkhorn",

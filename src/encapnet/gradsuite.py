@@ -2,9 +2,9 @@
 
 Each case builds a small float64 problem, computes reverse-mode gradients
 for a scalar objective, and compares them against central differences.
-The Sinkhorn penalty's value is <Q, P> and its gradient holds the plan P
-fixed, so while a check runs, frozen_plans solves each plan once at the
-unperturbed point and hands the same plans, in call order, to every
+The Sinkhorn penalty's value is <Q, P> and its node's backward holds the
+plans P fixed, so while a check runs, frozen_plans solves each plan once at
+the unperturbed point and hands the same plans, in call order, to every
 perturbed forward: the differences then see the objective that backprop
 differentiates.
 """

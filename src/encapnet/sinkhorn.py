@@ -6,11 +6,11 @@ debiased Sinkhorn divergence 2 W(x,y) - W(x,x) - W(y,y) between the two
 feature sets is the agreement penalty.
 
 Each W is <Q, P>: the cosine cost Q against the plan P that L log-domain
-scaling rounds reach (Cuturi 2013). sinkhorn_plan solves P in plain numpy,
-off the tape, over a (..., B2, B1) cost whose leading axes are independent
-problems; the debiased divergence stacks its three costs into one (3, B, B)
-batch and solves them in a single call. Backprop holds P fixed, so the
-gradient of W with respect to Q is the plan itself.
+scaling rounds reach (Cuturi 2013), which sinkhorn_plan solves in plain numpy
+over a (..., B2, B1) cost whose leading axes are independent problems.
+sinkhorn_divergence is one tape node: one sinkhorn_plan call solves its three
+costs as a (3, B, B) stack, and its backward holds P fixed, so the gradient
+of W with respect to Q is the plan itself.
 
 Conventions: cost matrices are (Bx, By) with rows indexed by the generated
 set; marginals are uniform, 1/m per atom, so total transported mass is 1.
@@ -40,14 +40,15 @@ class OTConfig:
             raise ConfigError("eps must be positive and iters >= 1")
 
 
-def cost_matrix(x: Tensor, y: Tensor) -> Tensor:
-    """Cosine ground cost 1 - cos(x_i, y_j): (Bx,F),(By,F) -> (Bx,By)."""
-    x, y = as_tensor(x), as_tensor(y)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeError(f"feature sets disagree: {x.shape} vs {y.shape}")
-    xn = x / T.sqrt(T.tsum(x * x, axis=1, keepdims=True) + 1e-12)
-    yn = y / T.sqrt(T.tsum(y * y, axis=1, keepdims=True) + 1e-12)
-    return 1.0 - T.matmul(xn, T.transpose(yn))
+def _unit_rows(f) -> tuple[np.ndarray, np.ndarray]:
+    """f's rows divided by their lengths r, and r (floored at 1e-6)."""
+    r = np.sqrt((f * f).sum(axis=-1, keepdims=True) + 1e-12)
+    return f / r, r
+
+
+def cosine_cost(x, y) -> np.ndarray:
+    """Cosine ground cost 1 - cos(x_i, y_j): (..., Bx, F), (..., By, F) -> (..., Bx, By)."""
+    return 1.0 - _unit_rows(x)[0] @ np.swapaxes(_unit_rows(y)[0], -1, -2)
 
 
 def _log_scaling(bias: float, a: np.ndarray, axis: int) -> np.ndarray:
@@ -81,30 +82,31 @@ def sinkhorn_plan(Q, eps: float, iters: int) -> np.ndarray:
     return np.exp(lb + logK + la)
 
 
-def ot_loss(Q, eps: float = 0.1, iters: int = 10) -> Tensor:
-    """<Q, P> per problem after L Sinkhorn rounds, summed over the last two axes.
-
-    P is a constant, so the gradient w.r.t. Q is the plan itself.
-    """
-    Q = as_tensor(Q)
-    P = T.constant(sinkhorn_plan(Q.data, eps, iters))
-    return T.tsum(Q * P, axis=(-2, -1))
-
-
 def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
-    """Debiased agreement: 2 W(x,y) - W(x,x) - W(y,y); identical sets give 0.
+    """Debiased agreement 2 W(x,y) - W(x,x) - W(y,y) as one tape node; 0 on identical sets.
 
-    The three problems are solved as one stacked (3, B, B) batch, so the
-    debiased form needs two sets of the same size.
+    The three costs are solved as one (3, B, B) stack, so the sets share a
+    shape. The backward holds the plans fixed: with G_k = g w_k P_k, the cost
+    1 - u_k v_k^T sends -G_k v_k to the unit rows u_k and -G_k^T u_k to v_k,
+    and the row normalisation, recomputed from the inputs, maps d to (d - n (n.d)) / r.
     """
     x, y = as_tensor(x_feats), as_tensor(y_feats)
-    if x.shape[:1] != y.shape[:1]:
-        raise ShapeError(f"debiased divergence needs equal-size sets: {x.shape} vs {y.shape}")
-    b = x.shape[0]
-    costs = [T.reshape(cost_matrix(a, c), (1, b, b))
-             for a, c in ((x, y), (x, x), (y, y))]
-    w = ot_loss(T.concat(costs, axis=0), cfg.eps, cfg.iters)
-    return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ShapeError(f"debiased divergence needs equal (B, F) sets: {x.shape} vs {y.shape}")
+    Q = cosine_cost(np.stack([x.data, x.data, y.data]), np.stack([y.data, x.data, y.data]))
+    P = sinkhorn_plan(Q, cfg.eps, cfg.iters)
+    w = np.array([2.0, -1.0, -1.0])
+    out = ((Q * P).sum(axis=(-2, -1)) * w).sum()
+
+    def back(g):
+        G = (g * w)[:, None, None] * P
+        (xn, rx), (yn, ry) = _unit_rows(x.value()), _unit_rows(y.value())
+        dx = -(G[0] @ yn + (G[1] + G[1].T) @ xn)
+        dy = -(G[0].T @ xn + (G[2] + G[2].T) @ yn)
+        for f, n, r, d in ((x, xn, rx, dx), (y, yn, ry, dy)):
+            f._accumulate((d - n * (n * d).sum(axis=1, keepdims=True)) / r)
+
+    return T._make(out, (x, y), back, "sinkhorn_divergence")
 
 
 def brute_force_ot(Q: np.ndarray) -> float:

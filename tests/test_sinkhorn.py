@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from encapnet import sinkhorn
+from encapnet import tensor as T
 from encapnet.errors import ConfigError, ShapeError
-from encapnet.gradsuite import frozen_plans
+from encapnet.gradsuite import CASES, frozen_plans
 from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
-                               OTConfig, brute_force_ot, cost_matrix, ot_loss,
+                               OTConfig, brute_force_ot, cosine_cost,
                                sinkhorn_divergence, sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 
@@ -15,6 +16,22 @@ from encapnet.tensor import Tensor, seeded_rng
 def random_cost(n, seed=0):
     rng = seeded_rng(seed, "cost")
     return rng.uniform(0.0, 2.0, size=(n, n))
+
+
+def taped_divergence(x, y, cfg):
+    """The divergence as generic tape ops: taped cosine costs, constant plans
+    from one stacked solve, and a constant-weighted sum of the three terms."""
+    def cost(a, c):
+        an = a / T.sqrt(T.tsum(a * a, axis=1, keepdims=True) + 1e-12)
+        cn = c / T.sqrt(T.tsum(c * c, axis=1, keepdims=True) + 1e-12)
+        return 1.0 - T.matmul(an, T.transpose(cn))
+
+    b = x.shape[0]
+    Q = T.concat([T.reshape(cost(a, c), (1, b, b)) for a, c in ((x, y), (x, x), (y, y))],
+                 axis=0)
+    P = T.constant(sinkhorn_plan(Q.data, cfg.eps, cfg.iters))
+    w = T.tsum(Q * P, axis=(-2, -1))
+    return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
 
 
 class TestIterates:
@@ -31,9 +48,9 @@ class TestIterates:
         # 32..128 samples) the staleness sits well inside the 1e-3 allowance
         for seed, B in ((0, 32), (1, 64), (2, 128)):
             rng = seeded_rng(seed, "feat")
-            x = Tensor(rng.normal(size=(B, 16)))
-            y = Tensor(rng.normal(size=(B, 16)))
-            Q = cost_matrix(x, y).data
+            x = rng.normal(size=(B, 16))
+            y = rng.normal(size=(B, 16))
+            Q = cosine_cost(x, y)
             P = sinkhorn_plan(Q, eps=0.1, iters=10)
             assert np.abs(P.sum(axis=1) - 1.0 / B).max() < 1e-3
 
@@ -124,41 +141,12 @@ class TestOracle:
             brute_force_ot(np.zeros((2, 3)))
 
 
-class TestOTLoss:
-    def test_gradient_is_the_plan(self):
-        Q = Tensor(random_cost(5, 1), requires_grad=True)
-        loss = ot_loss(Q, eps=0.1, iters=10)
-        loss.backward()
-        plan = sinkhorn_plan(Q.data, 0.1, 10)
-        np.testing.assert_array_equal(Q.grad, plan)
-
-    def test_frozen_plans_replay_the_unperturbed_solve(self):
-        # the gradient suite's stand-in: a perturbed forward weighs its new
-        # costs by the plans solved at entry, which is what backprop holds
-        rng = seeded_rng(5, "frozen")
-        x, y = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
-        costs = lambda: [cost_matrix(a, b).data for a, b in ((x, y), (x, x), (y, y))]
-        plans = [sinkhorn_plan(q, 0.1, 10) for q in costs()]
-        solve = sinkhorn.sinkhorn_plan
-        with frozen_plans(lambda: sinkhorn_divergence(x, y, OTConfig())):
-            y.data += 0.5
-            frozen = float(sinkhorn_divergence(x, y, OTConfig()).data)
-        assert sinkhorn.sinkhorn_plan is solve
-        w = [float((q * p).sum()) for q, p in zip(costs(), plans)]
-        assert frozen == pytest.approx(2 * w[0] - w[1] - w[2], abs=1e-12)
-        assert frozen != pytest.approx(float(sinkhorn_divergence(x, y, OTConfig()).data))
-
-
 class TestCostMatrix:
     def test_cosine_range_and_self_diag(self):
-        x = Tensor(seeded_rng(0, "x").normal(size=(6, 8)))
-        Q = cost_matrix(x, x).data
+        x = seeded_rng(0, "x").normal(size=(6, 8))
+        Q = cosine_cost(x, x)
         assert Q.min() > -1e-9 and Q.max() < 2.0 + 1e-9
         np.testing.assert_allclose(np.diag(Q), 0.0, atol=1e-9)
-
-    def test_rejects_mismatched_features(self):
-        with pytest.raises(ShapeError):
-            cost_matrix(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
 class TestDivergence:
@@ -182,6 +170,58 @@ class TestDivergence:
         y = Tensor(rng.normal(size=(5, 7)))
         with pytest.raises(ShapeError, match=r"\(4, 7\).*\(5, 7\)"):
             sinkhorn_divergence(x, y, OTConfig())
+
+    def test_rejects_mismatched_features(self):
+        with pytest.raises(ShapeError):
+            sinkhorn_divergence(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), OTConfig())
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 4), (8, 4), (32, 16)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_node_matches_taped_reference(self, shape):
+        # about half of the extractor's features are exact zeros, so every set
+        # of more than one row carries an all-zero row
+        rng = seeded_rng(shape[0], "reference")
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
+        if shape[0] > 1:
+            x[1] = 0.0
+        cfg = OTConfig()
+        grads = []
+        for divergence in (sinkhorn_divergence, taped_divergence):
+            xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+            d = divergence(xt, yt, cfg)
+            d.backward()
+            grads.append((d.data, xt.grad, yt.grad))
+        (value, *got), (ref, *want) = grads
+        assert value.tobytes() == ref.tobytes()
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_builds_one_node(self):
+        rng = seeded_rng(3, "node")
+        x, y = (Tensor(rng.normal(size=(8, 4)), requires_grad=True) for _ in range(2))
+        d = sinkhorn_divergence(x, y, OTConfig())
+        assert d.op == "sinkhorn_divergence" and d._parents == (x, y)
+        assert [n for n in d._topo() if n._backward is not None] == [d]
+
+    def test_toy_net_under_200_rule_bearing_nodes(self):
+        build, _ = CASES["toy_net_total_loss"]()
+        assert sum(n._backward is not None for n in build()._topo()) < 200
+
+    def test_frozen_plans_replay_the_unperturbed_solve(self):
+        # the gradient suite's stand-in: a perturbed forward weighs its new
+        # costs by the plans solved at entry, which is what backprop holds
+        rng = seeded_rng(5, "frozen")
+        x, y = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
+        costs = lambda: [cosine_cost(a.data, b.data) for a, b in ((x, y), (x, x), (y, y))]
+        plans = [sinkhorn_plan(q, 0.1, 10) for q in costs()]
+        solve = sinkhorn.sinkhorn_plan
+        with frozen_plans(lambda: sinkhorn_divergence(x, y, OTConfig())):
+            y.data += 0.5
+            frozen = float(sinkhorn_divergence(x, y, OTConfig()).data)
+        assert sinkhorn.sinkhorn_plan is solve
+        w = [float((q * p).sum()) for q, p in zip(costs(), plans)]
+        assert frozen == pytest.approx(2 * w[0] - w[1] - w[2], abs=1e-12)
+        assert frozen != pytest.approx(float(sinkhorn_divergence(x, y, OTConfig()).data))
 
 
 class TestOTConfig:
