@@ -21,7 +21,6 @@ _EXPORTS = {
     "CapConv": "capconv",
     "CapConvSpec": "capconv",
     "EncapModule": "capconv",
-    "OTConfig": "sinkhorn",
     "sinkhorn_plan": "sinkhorn",
     "sinkhorn_divergence": "sinkhorn",
     "brute_force_ot": "sinkhorn",

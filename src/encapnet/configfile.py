@@ -1,10 +1,13 @@
 """INI run configs -> typed configs.
 
-Sections: [net], [stem], [module1..N] (in order, no gaps), [ot], [train],
-[data]. Unknown keys are configuration errors so typos fail loudly instead
-of silently keeping a default, and so is a key the run never reads: [net],
-[moduleN] and [ot] keys are checked against the configured family's
-FAMILY_KEYS, and [data] keys against the configured source's SOURCE_KEYS.
+Sections: [net], [stem], [module1..N] (in order, no gaps), [train], [data].
+Each value is stated once: a module's input capsule dimension is the previous
+module's dim_out (the stem's, split into caps_channels capsules, for
+[module1]), and the encapnet class capsules keep the last module's. Unknown
+sections and keys are configuration errors so typos fail loudly instead of
+silently keeping a default, and so is a key the run never reads: [net] and
+[moduleN] keys are checked against the configured family's FAMILY_KEYS, and
+[data] keys against the configured source's SOURCE_KEYS.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import MISSING, dataclass, fields
 from .errors import ConfigError
 from .data import DataConfig
 from .network import ModuleSpec, NetworkConfig, StemSpec
-from .sinkhorn import OTConfig
 from .training import TrainConfig
 
 
@@ -51,17 +53,14 @@ _STRING_TUPLES = {"ot"}
 _NET_SHARED = {"family", "n_classes", "image_size", "caps_channels"}
 _MODULE_KEYS = {f.name for f in fields(ModuleSpec)}
 
-# The [net], [moduleN] and [ot] keys each family reads. A key missing here is
-# one the family's model never looks at.
+# The [net] and [moduleN] keys each family reads. A key missing here is one
+# the family's model never looks at.
 FAMILY_KEYS = {
-    "encapnet": {"net": _NET_SHARED | {"class_caps_dim"},
-                 "module": _MODULE_KEYS,
-                 "ot": {f.name for f in fields(OTConfig)}},
+    "encapnet": {"net": _NET_SHARED, "module": _MODULE_KEYS},
     "capnet_dynamic": {"net": _NET_SHARED | {"class_caps_dim", "hidden_caps",
                                              "hidden_dim", "routing_iters"},
-                       "module": set(), "ot": set()},
-    "vanilla_cnn": {"net": _NET_SHARED,
-                    "module": _MODULE_KEYS - {"ot"}, "ot": set()},
+                       "module": set()},
+    "vanilla_cnn": {"net": _NET_SHARED, "module": _MODULE_KEYS - {"ot"}},
 }
 
 _DATA_SHARED = {"source", "limit_train", "limit_test"}
@@ -135,13 +134,16 @@ def parse_config_text(text: str) -> RunConfig:
     while f"module{i}" in cp:
         mods.append(_apply(cp[f"module{i}"], ModuleSpec, reads.get("module"), family_reader))
         i += 1
+    known = {"net", "stem", "train", "data"} | {f"module{j + 1}" for j in range(len(mods))}
     for name in cp.sections():
-        if name.startswith("module") and name not in {f"module{j + 1}" for j in range(len(mods))}:
+        if name in known:
+            continue
+        if name.startswith("module"):
             raise ConfigError(f"module sections must be consecutive from module1; found {name}")
+        raise ConfigError(f"unknown section [{name}]")
 
-    ot = _apply(cp["ot"], OTConfig, reads.get("ot"), family_reader) if "ot" in cp else OTConfig()
     net = _apply(cp["net"], NetworkConfig, reads.get("net"), family_reader,
-                 stem=stem, modules=tuple(mods), ot=ot)
+                 stem=stem, modules=tuple(mods))
     train = _apply(cp["train"], TrainConfig) if "train" in cp else TrainConfig()
     data = DataConfig()
     if "data" in cp:

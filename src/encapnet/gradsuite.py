@@ -25,7 +25,7 @@ from .capconv import CapConv, CapConvSpec
 from .gradcheck import DEFAULT_H, DEFAULT_TOL, check_grads
 from .network import ModuleSpec, NetworkConfig, StemSpec, build_network
 from .routing import CapNetLayer
-from .sinkhorn import Extractor, Generator, OTConfig, sinkhorn_divergence
+from .sinkhorn import Extractor, Generator, sinkhorn_divergence
 
 
 def _sq_sum(t: Tensor) -> Tensor:
@@ -103,17 +103,16 @@ def _case_extractor():
 def _case_sinkhorn_divergence():
     rng = seeded_rng(11, "divergence")
     x, y = (Tensor(rng.normal(size=(8, 4))) for _ in range(2))
-    return lambda: sinkhorn_divergence(x, y, OTConfig()), [("x", x), ("y", y)]
+    return lambda: sinkhorn_divergence(x, y), [("x", x), ("y", y)]
 
 
 def toy_network():
     """Two modules, both feedback kinds, every mechanism in one graph."""
     cfg = NetworkConfig(
         family="encapnet", n_classes=3, image_size=12,
-        stem=StemSpec((8,), (1,)), caps_channels=4, class_caps_dim=4,
-        modules=(ModuleSpec(2, 4, stride=2, n_type2=1, ot=("main", "skip")),
-                 ModuleSpec(4, 4, stride=2, n_type2=0, ot=("main",))),
-        ot=OTConfig(),
+        stem=StemSpec((8,), (1,)), caps_channels=4,
+        modules=(ModuleSpec(4, stride=2, n_type2=1, ot=("main", "skip")),
+                 ModuleSpec(4, stride=2, n_type2=0, ot=("main",))),
     )
     return build_network(cfg, seed=51)
 

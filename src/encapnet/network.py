@@ -15,9 +15,7 @@ stem depth + sum over modules of (n_type2 + 1) + 1 for the head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import tensor as T
 from .tensor import Tensor, seeded_rng
@@ -26,7 +24,7 @@ from .layers import Layer, Conv2d, BatchNorm2d, Linear
 from .capsules import CapFC, grid_to_capsules, squash
 from .capconv import EncapModule
 from .routing import CapNetLayer
-from .sinkhorn import FeedbackUnit, OTConfig
+from .sinkhorn import FeedbackUnit
 
 FAMILIES = ("encapnet", "capnet_dynamic", "vanilla_cnn")
 OT_KINDS = ("main", "skip")
@@ -34,19 +32,16 @@ OT_KINDS = ("main", "skip")
 
 @dataclass(frozen=True)
 class StemSpec:
-    """Plain conv front end: conv(k, stride, pad k//2) + BN + ReLU per entry."""
+    """Plain conv front end: conv(3x3, stride, pad 1) + BN + ReLU per entry."""
 
     channels: tuple = (16, 32, 32, 64)
     strides: tuple = (1, 2, 1, 2)
-    kernel: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
         if len(self.channels) != len(self.strides) or not self.channels:
             raise ConfigError("stem channels/strides must be equal-length and non-empty")
-        if self.kernel % 2 == 0 or self.kernel < 1:
-            raise ConfigError("stem kernel must be odd")
         if any(c < 1 for c in self.channels) or any(s < 1 for s in self.strides):
             raise ConfigError("stem channels/strides must be positive")
 
@@ -57,9 +52,12 @@ class StemSpec:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """One capsule-conv module: Type I (k3, stride) plus n_type2 Type II (k1)."""
+    """One capsule-conv module: Type I (k3, stride) plus n_type2 Type II (k1).
 
-    dim_in: int
+    Its input capsule dimension is the previous module's dim_out, or the
+    stem's for the first module (NetworkConfig.module_dims).
+    """
+
     dim_out: int
     stride: int = 1
     n_type2: int = 0
@@ -67,6 +65,9 @@ class ModuleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ot", tuple(self.ot))
+        if self.dim_out < 1 or self.stride < 1 or self.n_type2 < 0:
+            raise ConfigError(f"module needs dim_out >= 1, stride >= 1 and n_type2 >= 0, "
+                              f"got {self.dim_out}, {self.stride} and {self.n_type2}")
         for kind in self.ot:
             if kind not in OT_KINDS:
                 raise ConfigError(f"unknown feedback kind {kind!r}; expected one of {OT_KINDS}")
@@ -90,7 +91,6 @@ class NetworkConfig:
     hidden_caps: int = 4
     hidden_dim: int = 16
     routing_iters: int = 3
-    ot: OTConfig = field(default_factory=OTConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "modules", tuple(self.modules))
@@ -98,33 +98,31 @@ class NetworkConfig:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.image_size < 1:
-            raise ConfigError("bad input geometry")
-        if self.family in ("encapnet", "vanilla_cnn"):
-            if not self.modules:
-                raise ConfigError(f"{self.family} needs at least one module spec")
-            if self.stem.channels[-1] != self.caps_channels * self.modules[0].dim_in:
-                raise ConfigError(
-                    f"stem output {self.stem.channels[-1]} != "
-                    f"{self.caps_channels} capsules x dim {self.modules[0].dim_in}")
-            for a, b in zip(self.modules, self.modules[1:]):
-                if a.dim_out != b.dim_in:
-                    raise ConfigError(
-                        f"module chain mismatch: dim_out {a.dim_out} -> dim_in {b.dim_in}")
-            if self.family == "encapnet" and self.modules[-1].dim_out != self.class_caps_dim:
-                raise ConfigError(
-                    f"class_caps_dim {self.class_caps_dim} != last module dim "
-                    f"{self.modules[-1].dim_out}")
-        else:
-            if self.stem.channels[-1] % self.caps_channels:
-                raise ConfigError(
-                    f"stem output {self.stem.channels[-1]} not divisible into "
-                    f"{self.caps_channels} capsules")
+        for name in ("image_size", "caps_channels", "class_caps_dim", "hidden_caps",
+                     "hidden_dim", "routing_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.stem.channels[-1] % self.caps_channels:
+            raise ConfigError(
+                f"stem output {self.stem.channels[-1]} not divisible into "
+                f"{self.caps_channels} capsules")
+        if self.family in ("encapnet", "vanilla_cnn") and not self.modules:
+            raise ConfigError(f"{self.family} needs at least one module spec")
+
+    @property
+    def stem_caps_dim(self) -> int:
+        """Capsule dimension of the stem output split into caps_channels capsules."""
+        return self.stem.channels[-1] // self.caps_channels
+
+    def module_dims(self):
+        """(dim_in, dim_out) per module: each takes the previous one's dim_out."""
+        outs = [m.dim_out for m in self.modules]
+        return list(zip([self.stem_caps_dim] + outs[:-1], outs))
 
     def stem_hw(self) -> int:
         h = self.image_size
         for s in self.stem.strides:
-            h = T.conv_out_size(h, self.stem.kernel, s, self.stem.kernel // 2)
+            h = T.conv_out_size(h, 3, s, 1)
         return h
 
     def module_hws(self):
@@ -143,12 +141,11 @@ class Stem(Layer):
     def __init__(self, spec: StemSpec, seed: int = 0, name: str = "stem"):
         super().__init__()
         self.spec = spec
-        pad = spec.kernel // 2
         self.convs, self.bns = [], []
         cin = 1  # both data sources give one-channel images
         for i, (cout, s) in enumerate(zip(spec.channels, spec.strides)):
             rng = seeded_rng(seed, name, f"conv{i}")
-            self.convs.append(Conv2d(cin, cout, spec.kernel, s, pad, rng=rng))
+            self.convs.append(Conv2d(cin, cout, 3, s, 1, rng=rng))
             self.bns.append(BatchNorm2d(cout))
             cin = cout
 
@@ -179,18 +176,17 @@ class EncapNet(Layer):
         self.stem = Stem(cfg.stem, seed=seed)
         self.modules, self.feedback, self._ot_kinds = [], [], []
         hws = cfg.module_hws()
-        for i, ms in enumerate(cfg.modules):
+        for i, (ms, (d_in, d_out)) in enumerate(zip(cfg.modules, cfg.module_dims())):
             self.modules.append(EncapModule(
-                c, ms.dim_in, ms.dim_out, ms.n_type2, ms.stride,
-                seed=seed, name=f"m{i + 1}"))
+                c, d_in, d_out, ms.n_type2, ms.stride, seed=seed, name=f"m{i + 1}"))
             units, kinds = [], []
             for kind in ms.ot:
                 if kind == "main":
-                    unit = FeedbackUnit(c, ms.dim_out, c, ms.dim_in, ms.stride,
-                                        cfg.ot, seed=seed, name=f"m{i + 1}.ot_main")
+                    unit = FeedbackUnit(c, d_out, c, d_in, ms.stride,
+                                        seed=seed, name=f"m{i + 1}.ot_main")
                 else:
-                    unit = FeedbackUnit(c, ms.dim_out, c, ms.dim_out, 1,
-                                        cfg.ot, seed=seed, name=f"m{i + 1}.ot_skip")
+                    unit = FeedbackUnit(c, d_out, c, d_out, 1,
+                                        seed=seed, name=f"m{i + 1}.ot_skip")
                 units.append(unit)
                 kinds.append(kind)
             self.feedback.append(units)
@@ -198,7 +194,9 @@ class EncapNet(Layer):
         h_last = hws[-1]
         self._capfc_in = c * h_last * h_last
         self._caps_last = c
-        self.capfc = CapFC(self._capfc_in, cfg.n_classes, cfg.class_caps_dim,
+        # the class capsules keep the last module's capsule dimension
+        self._class_dim = cfg.modules[-1].dim_out
+        self.capfc = CapFC(self._capfc_in, cfg.n_classes, self._class_dim,
                            rng=seeded_rng(seed, "capfc"))
 
     @property
@@ -216,7 +214,7 @@ class EncapNet(Layer):
                     u = trace.input if kind == "main" else trace.type1_out
                     vals.append(unit.divergence(trace.output, u))
             ot_values.append(vals)
-        caps = grid_to_capsules(h, self._caps_last, self.cfg.class_caps_dim)
+        caps = grid_to_capsules(h, self._caps_last, self._class_dim)
         return self.capfc(caps), ot_values
 
 
@@ -231,10 +229,8 @@ class CapNet(Layer):
         self.cfg = cfg
         self.stem = Stem(cfg.stem, seed=seed)
         h = cfg.stem_hw()
-        caps_in = cfg.caps_channels
-        dim_in = cfg.stem.channels[-1] // caps_in
         self.hidden_layer = CapNetLayer(
-            caps_in, dim_in, cfg.hidden_caps, cfg.hidden_dim, (h, h),
+            cfg.caps_channels, cfg.stem_caps_dim, cfg.hidden_caps, cfg.hidden_dim, (h, h),
             cfg.routing_iters, rng=seeded_rng(seed, "caplayer", "hidden"))
         self.class_layer = CapNetLayer(
             cfg.hidden_caps, cfg.hidden_dim, cfg.n_classes, cfg.class_caps_dim, (1, 1),

@@ -8,9 +8,9 @@ feature sets is the agreement penalty.
 Each W is <Q, P>: the cosine cost Q against the plan P that L log-domain
 scaling rounds reach (Cuturi 2013), which sinkhorn_plan solves in plain numpy
 over a (..., B2, B1) cost whose leading axes are independent problems.
-sinkhorn_divergence is one tape node: one sinkhorn_plan call solves its three
-costs as a (3, B, B) stack, and its backward holds P fixed, so the gradient
-of W with respect to Q is the plan itself.
+sinkhorn_divergence is one tape node: one sinkhorn_plan call, at the fixed
+EPS and ITERS, solves its three costs as a (3, B, B) stack, and its backward
+holds P fixed, so the gradient of W with respect to Q is the plan itself.
 
 Conventions: cost matrices are (Bx, By) with rows indexed by the generated
 set; marginals are uniform, 1/m per atom, so total transported mass is 1.
@@ -19,7 +19,6 @@ set; marginals are uniform, 1/m per atom, so total transported mass is 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,9 @@ from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, Conv2d, Layer, gaussian_init
 from .tensor import Tensor, as_tensor, seeded_rng
 
-
-@dataclass
-class OTConfig:
-    eps: float = 0.1
-    iters: int = 10
-
-    def __post_init__(self):
-        if self.eps <= 0 or self.iters < 1:
-            raise ConfigError("eps must be positive and iters >= 1")
+# Entropic regularisation and scaling rounds of the feedback penalty.
+EPS = 0.1
+ITERS = 10
 
 
 def _unit_rows(f) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +75,7 @@ def sinkhorn_plan(Q, eps: float, iters: int) -> np.ndarray:
     return np.exp(lb + logK + la)
 
 
-def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
+def sinkhorn_divergence(x_feats, y_feats) -> Tensor:
     """Debiased agreement 2 W(x,y) - W(x,x) - W(y,y) as one tape node; 0 on identical sets.
 
     The three costs are solved as one (3, B, B) stack, so the sets share a
@@ -94,7 +87,7 @@ def sinkhorn_divergence(x_feats, y_feats, cfg: OTConfig) -> Tensor:
     if x.ndim != 2 or x.shape != y.shape:
         raise ShapeError(f"debiased divergence needs equal (B, F) sets: {x.shape} vs {y.shape}")
     Q = cosine_cost(np.stack([x.data, x.data, y.data]), np.stack([y.data, x.data, y.data]))
-    P = sinkhorn_plan(Q, cfg.eps, cfg.iters)
+    P = sinkhorn_plan(Q, EPS, ITERS)
     w = np.array([2.0, -1.0, -1.0])
     out = ((Q * P).sum(axis=(-2, -1)) * w).sum()
 
@@ -200,9 +193,8 @@ class FeedbackUnit(Layer):
     _children = ("generator", "extractor")
 
     def __init__(self, caps_v: int, dim_v: int, caps_u: int, dim_u: int,
-                 stride: int, cfg: OTConfig, seed: int = 0, name: str = "ot"):
+                 stride: int, seed: int = 0, name: str = "ot"):
         super().__init__()
-        self.cfg = cfg
         self.generator = Generator(caps_v, dim_v, caps_u, dim_u, stride,
                                    seed=seed, name=f"{name}.gen")
         self.extractor = Extractor(caps_u * dim_u, seed=seed, name=f"{name}.ext")
@@ -213,4 +205,4 @@ class FeedbackUnit(Layer):
             raise ConfigError(f"generated {u_hat.shape} != target {u.shape}")
         fx = self.extractor(u_hat)
         fy = self.extractor(u)
-        return sinkhorn_divergence(fx, fy, self.cfg)
+        return sinkhorn_divergence(fx, fy)

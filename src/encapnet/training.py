@@ -27,12 +27,14 @@ from .optim import Adam
 # Images per evaluation block (see evaluate).
 EVAL_BLOCK = 32
 
+# The learning rate is multiplied by this at each schedule milestone.
+LR_DROP = 0.1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
     schedule: tuple = (200, 300, 400)
-    decay: float = 0.1
     max_epochs: int = 600
     batch_size: int = 128
     lam: float = 10.0
@@ -72,7 +74,7 @@ def scale_config(cfg: TrainConfig, scale: float) -> TrainConfig:
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     drops = sum(1 for s in cfg.schedule if epoch >= s)
-    return cfg.lr * (cfg.decay ** drops)
+    return cfg.lr * (LR_DROP ** drops)
 
 
 class MetricsWriter:

@@ -26,8 +26,8 @@ from encapnet.gradsuite import GROUPS, run_suite
 from encapnet.network import build_network
 from encapnet.routing import (dynamic_routing, histogram_sums, routing_histogram,
                               write_histogram_csv)
-from encapnet.sinkhorn import (OTConfig, brute_force_ot, cosine_cost,
-                               sinkhorn_divergence, sinkhorn_plan)
+from encapnet.sinkhorn import (brute_force_ot, cosine_cost, sinkhorn_divergence,
+                               sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 from encapnet.training import train_model
 from routing_inputs import one_hot_routing
@@ -101,10 +101,9 @@ def test_sinkhorn_invariants():
         assert np.abs(P.sum(axis=0) - 1.0 / 6).max() < 1e-6
 
     # debiased divergence vanishes on identical sample sets
-    cfg = OTConfig(eps=0.1, iters=10)
     for seed in range(10):
         x = Tensor(seeded_rng(seed, "feat").normal(size=(5, 7)))
-        assert abs(float(sinkhorn_divergence(x, x, cfg).data)) <= 1e-9
+        assert abs(float(sinkhorn_divergence(x, x).data)) <= 1e-9
 
     # convergence in L: <Q,P_L> itself is not monotone (early infeasible
     # plans undercut the optimum and some costs overshoot), but the iterates
@@ -301,22 +300,16 @@ family = encapnet
 n_classes = 4
 image_size = 12
 caps_channels = 4
-class_caps_dim = 4
 
 [stem]
 channels = 8
 strides = 1
 
 [module1]
-dim_in = 2
 dim_out = 4
 stride = 2
 n_type2 = 0
 ot = main
-
-[ot]
-eps = 0.1
-iters = 3
 
 [train]
 lr = 0.002

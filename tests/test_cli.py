@@ -14,22 +14,16 @@ family = encapnet
 n_classes = 4
 image_size = 12
 caps_channels = 4
-class_caps_dim = 4
 
 [stem]
 channels = 8
 strides = 1
 
 [module1]
-dim_in = 2
 dim_out = 4
 stride = 2
 n_type2 = 0
 ot = main
-
-[ot]
-eps = 0.1
-iters = 3
 
 [train]
 lr = 0.002
@@ -124,13 +118,16 @@ def test_train_overrides(encap_ini, tmp_path, capsys):
     assert all(r["ot_m1"] is None for r in rows)
 
 
-@pytest.mark.parametrize("line, bad_line, message", [
-    ("dim_in = 2\ndim_out = 4\n", "", "[module1] needs dim_in, dim_out"),
-    ("dim_in = 2", "dim_in = abc", "[module1] dim_in = 'abc' is not a valid int"),
-], ids=["missing_dims", "bad_int"])
-def test_bad_config_exits_with_message(tmp_path, capsys, line, bad_line, message):
+@pytest.mark.parametrize("ini, line, bad_line, message", [
+    (ENCAP_INI, "dim_out = 4\n", "", "[module1] needs dim_out"),
+    (ENCAP_INI, "dim_out = 4", "dim_out = abc", "[module1] dim_out = 'abc' is not a valid int"),
+    (ENCAP_INI, "stride = 2", "stride = 0",
+     "module needs dim_out >= 1, stride >= 1 and n_type2 >= 0, got 4, 0 and 0"),
+    (CAPNET_INI, "caps_channels = 4", "caps_channels = 0", "caps_channels must be >= 1, got 0"),
+], ids=["missing_dims", "bad_int", "zero_stride", "zero_caps_channels"])
+def test_bad_config_exits_with_message(tmp_path, capsys, ini, line, bad_line, message):
     p = tmp_path / "bad.ini"
-    p.write_text(ENCAP_INI.replace(line, bad_line, 1))
+    p.write_text(ini.replace(line, bad_line, 1))
     assert main(["param-count", "--config", str(p)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -243,22 +243,16 @@ family = encapnet
 n_classes = 4
 image_size = 12
 caps_channels = 4
-class_caps_dim = 4
 
 [stem]
 channels = 8
 strides = 1
 
 [module1]
-dim_in = 2
 dim_out = 4
 stride = 2
 n_type2 = 1
 ot = main, skip
-
-[ot]
-eps = 0.1
-iters = 3
 
 [train]
 lr = 0.002
@@ -274,16 +268,25 @@ n_test = 16
 """
 
 # CONFIG_TEXT cut down, for each family, to the keys that family reads
-_NO_OT = CONFIG_TEXT.replace("[ot]\neps = 0.1\niters = 3\n", "")
 FAMILY_CONFIG_TEXT = {
     "encapnet": CONFIG_TEXT,
-    "vanilla_cnn": _NO_OT.replace("family = encapnet", "family = vanilla_cnn")
-                         .replace("class_caps_dim = 4\n", "")
-                         .replace("ot = main, skip\n", ""),
-    "capnet_dynamic": _NO_OT.replace("family = encapnet", "family = capnet_dynamic")
-                            .replace("[module1]\ndim_in = 2\ndim_out = 4\nstride = 2\n"
-                                     "n_type2 = 1\not = main, skip\n", ""),
+    "vanilla_cnn": CONFIG_TEXT.replace("family = encapnet", "family = vanilla_cnn")
+                              .replace("ot = main, skip\n", ""),
+    "capnet_dynamic": CONFIG_TEXT.replace("family = encapnet", "family = capnet_dynamic")
+                                 .replace("[module1]\ndim_out = 4\nstride = 2\n"
+                                          "n_type2 = 1\not = main, skip\n", ""),
 }
+
+
+def with_line(text, section, line):
+    """text with line added to [section], appending the section if absent."""
+    if f"[{section}]" in text:
+        return text.replace(f"[{section}]", f"[{section}]\n{line}")
+    return f"{text}\n[{section}]\n{line}\n"
+
+
+# [ot] is gone: its eps and iters are fixed, so the whole section is rejected
+OT_SECTION_ERROR = r"unknown section \[ot\]"
 
 
 class TestConfigFile:
@@ -293,7 +296,7 @@ class TestConfigFile:
         assert rc.net.stem.channels == (8,)
         assert rc.net.modules[0].ot == ("main", "skip")
         assert rc.net.modules[0].n_type2 == 1
-        assert rc.net.ot.iters == 3
+        assert rc.net.module_dims() == [(2, 4)]
         assert rc.train.schedule == (6, 9)
         assert rc.train.lam == 10.0
         assert rc.data.n_train == 32
@@ -322,30 +325,32 @@ class TestConfigFile:
         # the cosine cost, the debiased divergence, the softmax over lower
         # capsules, the masked aide, the joint master/aide gate, both skips
         # and the OT regularizer are fixed; naming their old key fails
-        bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
-        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
-            parse_config_text(bad)
+        match = OT_SECTION_ERROR if section == "ot" else line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(with_line(CONFIG_TEXT, section, line))
 
     @pytest.mark.parametrize("family, section, line", [
         ("encapnet", "net", "hidden_caps = 4"),
         ("encapnet", "net", "hidden_dim = 16"),
         ("encapnet", "net", "routing_iters = 3"),
+        ("encapnet", "net", "class_caps_dim = 16"),
         ("vanilla_cnn", "net", "hidden_caps = 4"),
         ("vanilla_cnn", "net", "hidden_dim = 16"),
         ("vanilla_cnn", "net", "routing_iters = 3"),
         ("vanilla_cnn", "net", "class_caps_dim = 4"),
         ("vanilla_cnn", "module1", "ot = main"),
         ("vanilla_cnn", "ot", "eps = 0.1"),
-        ("capnet_dynamic", "module1", "dim_in = 2"),
+        ("capnet_dynamic", "module1", "dim_out = 4"),
         ("capnet_dynamic", "ot", "eps = 0.1"),
     ])
     def test_key_the_family_does_not_read_rejected(self, family, section, line):
         text = FAMILY_CONFIG_TEXT[family]
         assert parse_config_text(text).net.family == family
-        if f"[{section}]" in text:
-            bad = text.replace(f"[{section}]", f"[{section}]\n{line}")
-        else:
-            bad = f"{text}\n[{section}]\n{line}\n"
+        bad = with_line(text, section, line)
+        if section == "ot":
+            with pytest.raises(ConfigError, match=OT_SECTION_ERROR):
+                parse_config_text(bad)
+            return
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key) as err:
             parse_config_text(bad)
@@ -357,13 +362,24 @@ class TestConfigFile:
         ("data", "n_classes = 4"),
         ("data", "image_size = 12"),
         ("ot", "stop_gradient = true"),
+        ("module1", "dim_in = 8"),
+        ("stem", "kernel = 3"),
+        ("train", "decay = 0.1"),
     ])
     def test_deleted_geometry_and_shuffle_keys_rejected(self, section, line):
-        # [net] alone sets the input geometry, every epoch reshuffles, and
-        # the Sinkhorn plan is always held fixed in backprop
-        bad = CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
-        with pytest.raises(ConfigError, match=f"unknown key {line.split(' = ')[0]!r}"):
-            parse_config_text(bad)
+        # [net] alone sets the input geometry, every epoch reshuffles, the
+        # Sinkhorn plan is always held fixed in backprop, a module's input
+        # dim is the previous output dim, stem convs are 3x3, and the lr
+        # drops x0.1 at each milestone
+        match = OT_SECTION_ERROR if section == "ot" else f"unknown key {line.split(' = ')[0]!r}"
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(with_line(CONFIG_TEXT, section, line))
+
+    @pytest.mark.parametrize("name", ["trian", "ot"])
+    def test_unknown_section_rejected(self, name):
+        # a misspelt section would otherwise leave all its keys at defaults
+        with pytest.raises(ConfigError, match=rf"unknown section \[{name}\]"):
+            parse_config_text(with_line(CONFIG_TEXT, name, "lr = 5"))
 
     @pytest.mark.parametrize("source, line", [
         ("idx", "n_train = 32"),
@@ -401,11 +417,11 @@ class TestConfigFile:
 
     def test_module_without_dims_rejected(self):
         bad = "[net]\nfamily = encapnet\n[module1]\nstride = 2\n"
-        with pytest.raises(ConfigError, match=r"\[module1\] needs dim_in, dim_out"):
+        with pytest.raises(ConfigError, match=r"\[module1\] needs dim_out"):
             parse_config_text(bad)
 
     @pytest.mark.parametrize("section, line, bad_line", [
-        ("module1", "dim_in = 2", "dim_in = abc"),
+        ("module1", "dim_out = 4", "dim_out = abc"),
         ("net", "n_classes = 4", "n_classes = ten"),
         ("train", "lr = 0.002", "lr = fast"),
         ("train", "schedule = 6, 9", "schedule = 6, nine"),

@@ -17,7 +17,6 @@ from encapnet.network import (FAMILIES, OT_KINDS, CapNet, EncapNet, ModuleSpec,
                               NetworkConfig, StemSpec, VanillaCNN, build_network,
                               parameter_table)
 from encapnet.optim import Adam
-from encapnet.sinkhorn import OTConfig
 from encapnet.tensor import Tensor, find_first_nonfinite, seeded_rng
 from encapnet.training import evaluate
 
@@ -28,9 +27,7 @@ def small_cfg(**kw):
     base = dict(
         family="encapnet", n_classes=4, image_size=12,
         stem=StemSpec(channels=(8,), strides=(1,)), caps_channels=4,
-        class_caps_dim=4,
-        modules=(ModuleSpec(2, 4, stride=2, n_type2=1, ot=("main", "skip")),),
-        ot=OTConfig(eps=0.1, iters=3),
+        modules=(ModuleSpec(4, stride=2, n_type2=1, ot=("main", "skip")),),
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -45,22 +42,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(stem=StemSpec(channels=(9,), strides=(1,)))
 
-    def test_module_chain_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            small_cfg(modules=(ModuleSpec(2, 4, ot=("main",)),
-                               ModuleSpec(8, 4)))
-
-    def test_class_dim_must_match_last_module(self):
-        with pytest.raises(ConfigError):
-            small_cfg(class_caps_dim=16)
-
     def test_skip_feedback_needs_type2(self):
         with pytest.raises(ConfigError):
-            ModuleSpec(2, 4, n_type2=0, ot=("skip",))
+            ModuleSpec(4, n_type2=0, ot=("skip",))
 
     def test_duplicate_feedback_kinds(self):
         with pytest.raises(ConfigError):
-            ModuleSpec(2, 4, n_type2=1, ot=("main", "main"))
+            ModuleSpec(4, n_type2=1, ot=("main", "main"))
+
+    @pytest.mark.parametrize("kw", [dict(dim_out=0), dict(stride=0), dict(n_type2=-1)],
+                             ids=["dim_out", "stride", "n_type2"])
+    def test_module_geometry_validated(self, kw):
+        with pytest.raises(ConfigError, match="module needs dim_out >= 1"):
+            ModuleSpec(**{"dim_out": 4, **kw})
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_caps_channels_rejected(self, family):
+        with pytest.raises(ConfigError, match="caps_channels must be >= 1, got 0"):
+            small_cfg(family=family, caps_channels=0)
+
+    @pytest.mark.parametrize("name", ["class_caps_dim", "hidden_caps", "hidden_dim",
+                                      "routing_iters"])
+    def test_zero_capnet_geometry_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got 0"):
+            small_cfg(family="capnet_dynamic", **{name: 0})
+
+    def test_module_dims_chain_from_the_stem(self):
+        # the stem's 8 channels split into 4 capsules of dim 2
+        cfg = small_cfg(modules=(ModuleSpec(4), ModuleSpec(6, n_type2=1), ModuleSpec(3)))
+        assert cfg.stem_caps_dim == 2
+        assert cfg.module_dims() == [(2, 4), (4, 6), (6, 3)]
+        net = build_network(cfg, seed=0)
+        assert [(m.type1.spec.dim_in, m.type1.spec.dim_out) for m in net.modules] == \
+            cfg.module_dims()
+        caps, _ = net(Tensor(np.zeros((1, 1, 12, 12))))
+        assert caps.shape == (1, 4, 3)  # the class capsules keep the last dim
 
     def test_capnet_divisibility(self):
         with pytest.raises(ConfigError):
@@ -71,8 +87,6 @@ class TestConfigValidation:
     def test_stem_validation(self):
         with pytest.raises(ConfigError):
             StemSpec(channels=(8, 16), strides=(1,))
-        with pytest.raises(ConfigError):
-            StemSpec(kernel=4)
 
 
 class TestAssembly:
@@ -95,14 +109,13 @@ class TestAssembly:
 
     def test_deep_config_builds_to_eighteen(self):
         mods = tuple(
-            ModuleSpec(1 if i == 0 else 2 ** i, 2 ** (i + 1), stride=(1 if i == 0 else 2),
-                       n_type2=3, ot=())
+            ModuleSpec(2 ** (i + 1), stride=(1 if i == 0 else 2), n_type2=3, ot=())
             for i in range(4)
         )
         cfg = NetworkConfig(
             family="encapnet", n_classes=10, image_size=32,
             stem=StemSpec(channels=(32,), strides=(1,)), caps_channels=32,
-            class_caps_dim=16, modules=mods)
+            modules=mods)
         net = build_network(cfg)
         assert net.depth == 1 + 4 * (3 + 1) + 1  # 18
 
@@ -301,6 +314,20 @@ class TestRelease:
 
 
 class TestParameterTable:
+    @pytest.mark.parametrize("name, total, depth", [
+        ("encapnet18.ini", 2_811_688, 18),
+        ("mnist_capnet6_dynamic.ini", 66_416, 6),
+        ("mnist_cnn6.ini", 107_962, 6),
+        ("mnist_encapnet6.ini", 128_738, 6),
+        ("synth_quick.ini", 50_802, 6),
+    ])
+    def test_shipped_config_size_pinned(self, name, total, depth):
+        # the module input dims and the encapnet head dim are derived from the
+        # config; a wrong derivation changes these counts
+        net = shipped_network(name)
+        assert parameter_table(net)[1] == total
+        assert net.depth == depth
+
     def test_counts_match_named_params(self):
         net = build_network(small_cfg(), seed=0)
         rows, total = parameter_table(net)

@@ -7,9 +7,9 @@ from encapnet import sinkhorn
 from encapnet import tensor as T
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.gradsuite import CASES, frozen_plans
-from encapnet.sinkhorn import (Extractor, FeedbackUnit, Generator,
-                               OTConfig, brute_force_ot, cosine_cost,
-                               sinkhorn_divergence, sinkhorn_plan)
+from encapnet.sinkhorn import (EPS, ITERS, Extractor, FeedbackUnit, Generator,
+                               brute_force_ot, cosine_cost, sinkhorn_divergence,
+                               sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
 
 
@@ -18,7 +18,7 @@ def random_cost(n, seed=0):
     return rng.uniform(0.0, 2.0, size=(n, n))
 
 
-def taped_divergence(x, y, cfg):
+def taped_divergence(x, y):
     """The divergence as generic tape ops: taped cosine costs, constant plans
     from one stacked solve, and a constant-weighted sum of the three terms."""
     def cost(a, c):
@@ -29,7 +29,7 @@ def taped_divergence(x, y, cfg):
     b = x.shape[0]
     Q = T.concat([T.reshape(cost(a, c), (1, b, b)) for a, c in ((x, y), (x, x), (y, y))],
                  axis=0)
-    P = T.constant(sinkhorn_plan(Q.data, cfg.eps, cfg.iters))
+    P = T.constant(sinkhorn_plan(Q.data, EPS, ITERS))
     w = T.tsum(Q * P, axis=(-2, -1))
     return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))
 
@@ -151,29 +151,27 @@ class TestCostMatrix:
 
 class TestDivergence:
     def test_identical_sets_exactly_zero(self):
-        cfg = OTConfig(eps=0.1, iters=10)
         for seed in range(10):
             x = Tensor(seeded_rng(seed, "feat").normal(size=(5, 7)))
-            d = float(sinkhorn_divergence(x, x, cfg).data)
+            d = float(sinkhorn_divergence(x, x).data)
             assert abs(d) <= 1e-9
 
     def test_distinct_sets_positive(self):
-        cfg = OTConfig(eps=0.1, iters=20)
         rng = seeded_rng(0, "d")
         x = Tensor(rng.normal(size=(5, 7)))
         y = Tensor(rng.normal(size=(5, 7)) + 3.0)
-        assert float(sinkhorn_divergence(x, y, cfg).data) > 0
+        assert float(sinkhorn_divergence(x, y).data) > 0
 
     def test_debiased_needs_equal_set_sizes(self):
         rng = seeded_rng(2, "d")
         x = Tensor(rng.normal(size=(4, 7)))
         y = Tensor(rng.normal(size=(5, 7)))
         with pytest.raises(ShapeError, match=r"\(4, 7\).*\(5, 7\)"):
-            sinkhorn_divergence(x, y, OTConfig())
+            sinkhorn_divergence(x, y)
 
     def test_rejects_mismatched_features(self):
         with pytest.raises(ShapeError):
-            sinkhorn_divergence(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), OTConfig())
+            sinkhorn_divergence(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
     @pytest.mark.parametrize("shape", [(1, 4), (2, 4), (8, 4), (32, 16)],
                              ids=lambda s: "x".join(map(str, s)))
@@ -184,11 +182,10 @@ class TestDivergence:
         x, y = rng.normal(size=shape), rng.normal(size=shape)
         if shape[0] > 1:
             x[1] = 0.0
-        cfg = OTConfig()
         grads = []
         for divergence in (sinkhorn_divergence, taped_divergence):
             xt, yt = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
-            d = divergence(xt, yt, cfg)
+            d = divergence(xt, yt)
             d.backward()
             grads.append((d.data, xt.grad, yt.grad))
         (value, *got), (ref, *want) = grads
@@ -199,7 +196,7 @@ class TestDivergence:
     def test_builds_one_node(self):
         rng = seeded_rng(3, "node")
         x, y = (Tensor(rng.normal(size=(8, 4)), requires_grad=True) for _ in range(2))
-        d = sinkhorn_divergence(x, y, OTConfig())
+        d = sinkhorn_divergence(x, y)
         assert d.op == "sinkhorn_divergence" and d._parents == (x, y)
         assert [n for n in d._topo() if n._backward is not None] == [d]
 
@@ -213,23 +210,15 @@ class TestDivergence:
         rng = seeded_rng(5, "frozen")
         x, y = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
         costs = lambda: [cosine_cost(a.data, b.data) for a, b in ((x, y), (x, x), (y, y))]
-        plans = [sinkhorn_plan(q, 0.1, 10) for q in costs()]
+        plans = [sinkhorn_plan(q, EPS, ITERS) for q in costs()]
         solve = sinkhorn.sinkhorn_plan
-        with frozen_plans(lambda: sinkhorn_divergence(x, y, OTConfig())):
+        with frozen_plans(lambda: sinkhorn_divergence(x, y)):
             y.data += 0.5
-            frozen = float(sinkhorn_divergence(x, y, OTConfig()).data)
+            frozen = float(sinkhorn_divergence(x, y).data)
         assert sinkhorn.sinkhorn_plan is solve
         w = [float((q * p).sum()) for q, p in zip(costs(), plans)]
         assert frozen == pytest.approx(2 * w[0] - w[1] - w[2], abs=1e-12)
-        assert frozen != pytest.approx(float(sinkhorn_divergence(x, y, OTConfig()).data))
-
-
-class TestOTConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            OTConfig(eps=0.0)
-        with pytest.raises(ConfigError):
-            OTConfig(iters=0)
+        assert frozen != pytest.approx(float(sinkhorn_divergence(x, y).data))
 
 
 class TestGenerator:
@@ -271,8 +260,7 @@ class TestExtractor:
 
 class TestFeedbackUnit:
     def test_divergence_scalar_and_self_behavior(self):
-        cfg = OTConfig(eps=0.1, iters=5)
-        unit = FeedbackUnit(2, 4, 2, 4, stride=2, cfg=cfg, seed=0)
+        unit = FeedbackUnit(2, 4, 2, 4, stride=2, seed=0)
         rng = seeded_rng(0, "fb")
         v = Tensor(rng.normal(size=(4, 8, 3, 3)))
         u = Tensor(rng.normal(size=(4, 8, 6, 6)))
@@ -281,8 +269,7 @@ class TestFeedbackUnit:
         assert np.isfinite(float(d.data))
 
     def test_geometry_mismatch_rejected(self):
-        cfg = OTConfig()
-        unit = FeedbackUnit(2, 4, 2, 4, stride=2, cfg=cfg, seed=0)
+        unit = FeedbackUnit(2, 4, 2, 4, stride=2, seed=0)
         v = Tensor(np.zeros((1, 8, 3, 3)))
         with pytest.raises(ConfigError):
             unit.divergence(v, Tensor(np.zeros((1, 8, 9, 9))))

@@ -655,7 +655,7 @@ class TestNoGrad:
 
         cfg = NetworkConfig(family="encapnet", n_classes=4, image_size=12,
                             stem=StemSpec(channels=(8,), strides=(1,)), caps_channels=4,
-                            class_caps_dim=4, modules=(ModuleSpec(2, 4, stride=2),))
+                            modules=(ModuleSpec(4, stride=2),))
         images, labels = synth_generate(12, cfg.n_classes, cfg.image_size, seed=5)
         model = build_network(cfg, seed=1)
         with_it = evaluate(model, images, labels, batch_size=5)

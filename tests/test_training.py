@@ -15,7 +15,6 @@ from encapnet.data import batches, synth_generate
 from encapnet.errors import ConfigError, GraphReleased, TrainingDiverged
 from encapnet.network import ModuleSpec, NetworkConfig, StemSpec, build_network
 from encapnet.optim import Adam
-from encapnet.sinkhorn import OTConfig
 from encapnet.training import (MetricsWriter, TrainConfig, evaluate, lr_at,
                                scale_config, train_model)
 from encapnet.tensor import Tensor, seeded_rng
@@ -28,9 +27,7 @@ def tiny_setup(lam=0.0, **train_kw):
     cfg = NetworkConfig(
         family="encapnet", n_classes=4, image_size=12,
         stem=StemSpec(channels=(8,), strides=(1,)), caps_channels=4,
-        class_caps_dim=4,
-        modules=(ModuleSpec(2, 4, stride=2, n_type2=0, ot=("main",)),),
-        ot=OTConfig(eps=0.1, iters=3))
+        modules=(ModuleSpec(4, stride=2, n_type2=0, ot=("main",)),))
     net = build_network(cfg, seed=0)
     data = synth_generate(32, n_classes=4, image_size=12, seed=0)
     test = synth_generate(16, n_classes=4, image_size=12, seed=1)
@@ -42,7 +39,7 @@ def tiny_setup(lam=0.0, **train_kw):
 
 class TestSchedule:
     def test_lr_at_steps_down(self):
-        cfg = TrainConfig(lr=1.0, schedule=(2, 5), decay=0.1)
+        cfg = TrainConfig(lr=1.0, schedule=(2, 5))
         assert lr_at(0, cfg) == 1.0
         assert lr_at(1, cfg) == 1.0
         assert lr_at(2, cfg) == pytest.approx(0.1)
@@ -199,7 +196,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("family,modules", [
         ("capnet_dynamic", None), ("vanilla_cnn", None),
-        ("encapnet", (ModuleSpec(2, 4, stride=2, n_type2=0),))])
+        ("encapnet", (ModuleSpec(4, stride=2, n_type2=0),))])
     def test_lam_without_feedback_unit_rejected(self, tmp_path, family, modules):
         # lam > 0 would weight a penalty the model never computes
         net, data, tcfg = tiny_setup(lam=1.0)
