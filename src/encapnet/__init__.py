@@ -23,7 +23,6 @@ _EXPORTS = {
     "EncapModule": "capconv",
     "sinkhorn_plan": "sinkhorn",
     "sinkhorn_divergence": "sinkhorn",
-    "brute_force_ot": "sinkhorn",
     "FeedbackUnit": "sinkhorn",
     "NetworkConfig": "network",
     "StemSpec": "network",

@@ -29,8 +29,8 @@ class CapConvSpec:
 
     caps is both the input and output capsule-channel count; the master branch
     is grouped by it, so the layer cannot change it. kernel is 3 for the
-    spatial Type I layer and 1 for the depth-building Type II layer; the aide
-    kernel is always 1.
+    spatial Type I layer and 1 for the depth-building Type II layer, padded
+    by (kernel - 1) // 2; the aide kernel is always 1.
     """
 
     caps: int
@@ -38,7 +38,6 @@ class CapConvSpec:
     dim_out: int
     kernel: int = 3
     stride: int = 1
-    padding: int = 1
 
     def __post_init__(self):
         if self.caps < 1 or self.dim_in < 1 or self.dim_out < 1:
@@ -74,8 +73,9 @@ class CapConv(Layer):
         super().__init__()
         self.spec = spec
         c, d1, d2 = spec.caps, spec.dim_in, spec.dim_out
-        self.master = Conv2d(c * d1, c * d2, spec.kernel, spec.stride, spec.padding,
-                             groups=c, rng=seeded_rng(seed, name, "master"))
+        self.master = Conv2d(c * d1, c * d2, spec.kernel, spec.stride,
+                             (spec.kernel - 1) // 2, groups=c,
+                             rng=seeded_rng(seed, name, "master"))
         # aide: kernel 1, stride matched to the master so shapes agree
         self.aide = Conv2d(c * d1, c * d2, 1, spec.stride, 0, groups=1,
                            rng=seeded_rng(seed, name, "aide"))
@@ -130,12 +130,12 @@ class EncapModule(Layer):
         super().__init__()
         if n_type2 < 0:
             raise ConfigError("n_type2 must be >= 0")
-        self.type1 = CapConv(CapConvSpec(caps, dim_in, dim_out, 3, stride, 1),
+        self.type1 = CapConv(CapConvSpec(caps, dim_in, dim_out, 3, stride),
                              seed=seed, name=f"{name}.type1")
         self.type1_skip = Conv2d(caps * dim_in, caps * dim_out, 1, stride, 0,
                                  groups=caps, rng=seeded_rng(seed, name, "type1_skip"))
         self.type2 = [
-            CapConv(CapConvSpec(caps, dim_out, dim_out, 1, 1, 0),
+            CapConv(CapConvSpec(caps, dim_out, dim_out, 1, 1),
                     seed=seed, name=f"{name}.type2_{i}")
             for i in range(n_type2)
         ]

@@ -53,7 +53,7 @@ def _case_margin():
 
 
 def _case_capconv():
-    spec = CapConvSpec(caps=2, dim_in=2, dim_out=3, kernel=3, stride=2, padding=1)
+    spec = CapConvSpec(caps=2, dim_in=2, dim_out=3, kernel=3, stride=2)
     block = CapConv(spec, seed=21)
     rng = seeded_rng(11, "capconv")
     x = Tensor(rng.normal(size=(2, 4, 5, 5)))

@@ -388,16 +388,6 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), back, "sigmoid")
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def back(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), back, "exp")
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0):
@@ -459,22 +449,6 @@ def transpose(a, axes=None) -> Tensor:
         a._accumulate(g.transpose(inv))
 
     return _make(out_data, (a,), back, "transpose")
-
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def back(g):
-        start = 0
-        for t, n in zip(tensors, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, start + n)
-            t._accumulate(g[tuple(idx)])
-            start += n
-
-    return _make(out_data, tuple(tensors), back, "concat")
 
 
 # -- linear algebra ------------------------------------------------------------
@@ -796,112 +770,51 @@ def conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _phase_shape(k: int, stride: int, ho: int, wo: int):
-    """(rows, width) of a phase image for an (ho, wo) output.
-
-    The width wo + (k-1)//stride is also the row width of the lowered output;
-    one spare row keeps the last tap's run inside the image.
-    """
-    q = (k - 1) // stride
-    return ho + q + 1, wo + q
-
-
-def _tap_offsets(k: int, stride: int, wq: int):
-    """(tap row, tap col, phase row, phase col, flat offset) of every tap."""
-    return [(ki, kj, ki % stride, kj % stride, (ki // stride) * wq + kj // stride)
-            for ki in range(k) for kj in range(k)]
-
-
-def _phases(k: int, stride: int, pad: int, hq: int, wq: int, h: int, w: int):
-    """(input index, phase index) of each phase image (pi, pj), which holds
-    xp[pi::s, pj::s] of the zero-padded input xp; the pair selects x's part."""
-    def axis(p, q, n):  # (input slice, phase slice) along an axis of length n
-        a0 = max(0, -((p - pad) // stride))
-        r0 = a0 * stride + p - pad
-        count = max(0, min(q - a0, -((r0 - n) // stride)))
-        return slice(r0, r0 + count * stride, stride), slice(a0, a0 + count)
-
-    n = min(stride, k)
-    return [((..., xr, xc), (pi, pj, ..., ar, ac))
-            for pi, (xr, ar) in enumerate(axis(p, hq, h) for p in range(n))
-            for pj, (xc, ac) in enumerate(axis(p, wq, w) for p in range(n))]
-
-
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """(B,C,H,W) -> columns (B, C*k*k, Ho*Wq); conv2d passes a block of images.
+    """(B,C,H,W) -> columns (B, C*k*k, Ho*Wo); conv2d passes a block of images.
 
-    The zero-padded input is split into stride x stride phase images of
-    width Wq = Wo + (k-1)//stride (x[pi::s, pj::s] for phase (pi, pj)), each
-    filled by one copy from a strided slice of x and flattened. In a
-    flattened phase image the patch rows of one tap for all Ho output rows
-    are one contiguous run of Ho*Wq values, so each tap is a single copy.
-    Column j >= Wo of each output row is junk that callers crop. A 1x1
-    unpadded conv takes x[:, :, ::s, ::s], x itself at stride 1, as columns.
+    Row (c, ki, kj) of the columns is tap (ki, kj)'s strided slice
+    xp[:, c, ki:ki+s*Ho:s, kj:kj+s*Wo:s] of the zero-padded input xp, so
+    each tap is one copy. A 1x1 unpadded conv takes x[:, :, ::s, ::s], x
+    itself at stride 1, as columns.
     """
     b, c, h, w = x.shape
     ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
     if k == 1 and pad == 0:
         return x[:, :, ::stride, ::stride].reshape(b, c, ho * wo)
-    s, n = stride, min(stride, k)
-    hq, wq = _phase_shape(k, s, ho, wo)
-    phases = np.zeros((n, n, b, c, hq, wq), dtype=x.dtype)
-    for xi, qi in _phases(k, s, pad, hq, wq, h, w):
-        phases[qi] = x[xi]
-    phases = phases.reshape(n, n, b, c, hq * wq)
-    span = ho * wq
-    cols = np.empty((b, c, k, k, span), dtype=x.dtype)
-    for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
-        cols[:, :, ki, kj] = phases[pi, pj, :, :, off:off + span]
-    return cols.reshape(b, c * k * k, span)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+    for ki, kj in np.ndindex(k, k):
+        cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return cols.reshape(b, c * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, pad: int,
-            ho: int, wo: int) -> None:
-    """Adjoint of _im2col: scatter-add columns onto the (B,C,H,W) out.
-
-    Junk columns must hold zeros; they land on real pixels of the phase
-    images and add nothing there. Each phase image is copied into a strided
-    slice of out, and pixels under no tap are zeroed.
-    """
+def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, pad: int) -> None:
+    """Adjoint of _im2col: writes into the (B,C,H,W) out the sum of every
+    tap's columns, each added into a zeroed padded buffer at its strided
+    slice; out gets the buffer's interior, so pixels under no tap read 0."""
     b, c, h, w = out.shape
-    s, n = stride, min(stride, k)
-    hq, wq = _phase_shape(k, s, ho, wo)
-    span = ho * wq
-    cols = cols.reshape(b, c, k, k, span)
-    phases = np.zeros((n, n, b, c, hq * wq), dtype=cols.dtype)
-    for ki, kj, pi, pj, off in _tap_offsets(k, s, wq):
-        phases[pi, pj, :, :, off:off + span] += cols[:, :, ki, kj]
-    phases = phases.reshape(n, n, b, c, hq, wq)
-    index = _phases(k, s, pad, hq, wq, h, w)
-    if sum(phases[qi].size for _, qi in index) < out.size:  # pixels under no tap
-        out.fill(0.0)
-    for xi, qi in index:
-        out[xi] = phases[qi]
-
-
-def _widen(y: np.ndarray, wq: int) -> np.ndarray:
-    """(B,C,H,W) -> (B,C,H*wq) with zero junk columns W..wq-1."""
-    b, c, h, w = y.shape
-    if wq == w:
-        return y.reshape(b, c, h * w)
-    out = np.zeros((b, c, h, wq), dtype=y.dtype)
-    out[..., :w] = y
-    return out.reshape(b, c, h * wq)
+    ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
+    cols = cols.reshape(b, c, k, k, ho, wo)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for ki, kj in np.ndindex(k, k):
+        xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += cols[:, :, ki, kj]
+    out[...] = xp[:, :, pad:pad + h, pad:pad + w]
 
 
 def _conv_geometry(x_shape, k: int, stride: int, pad: int, forward: bool = False):
-    """(Ho, Wo, Wq, blocks) of conv2d on an x_shape input. blocks slice the
-    batch into blocks of images whose columns fit in COLS_BLOCK_BYTES; a 1x1
+    """(Ho, Wo, blocks) of conv2d on an x_shape input. blocks slice the batch
+    into blocks of images whose columns fit in COLS_BLOCK_BYTES; a 1x1
     unpadded conv's columns are x itself (one block) or, strided, a copy that
     a forward takes per image, so an eval forward holds one image's more."""
     b, c, h, w = x_shape
     ho, wo = conv_out_size(h, k, stride, pad), conv_out_size(w, k, stride, pad)
-    _, wq = _phase_shape(k, stride, ho, wo)
     if k == 1 and pad == 0 and (stride == 1 or forward):
         blocks = [slice(0, b)] if stride == 1 else [slice(i, i + 1) for i in range(b)]
     else:
-        blocks = _image_blocks(b, 8 * c * k * k * ho * wq)
-    return ho, wo, wq, blocks
+        blocks = _image_blocks(b, 8 * c * k * k * ho * wo)
+    return ho, wo, blocks
 
 
 def _lowered(x, wmat, k: int, stride: int, pad: int, out=None, dy=None, gw=None) -> None:
@@ -909,17 +822,15 @@ def _lowered(x, wmat, k: int, stride: int, pad: int, out=None, dy=None, gw=None)
     block of images once: writes the output into out (C order) and/or adds
     into gw the weight gradient for the output gradient dy, image by image.
     x is an array or a Tensor, whose value() gives each block."""
-    ho, wo, wq, blocks = _conv_geometry(x.shape, k, stride, pad, forward=gw is None)
+    ho, wo, blocks = _conv_geometry(x.shape, k, stride, pad, forward=gw is None)
     groups, per_group, kk = wmat.shape
     for blk in blocks:
         xb = x.value(blk) if isinstance(x, Tensor) else x[blk]
-        cols = _im2col(xb, k, stride, pad).reshape(-1, groups, kk, ho * wq)
-        if out is not None and wq == wo:  # no junk columns: the product is the output
+        cols = _im2col(xb, k, stride, pad).reshape(-1, groups, kk, ho * wo)
+        if out is not None:  # the product is the output
             np.matmul(wmat, cols, out=out[blk].reshape(-1, groups, per_group, ho * wo))
-        elif out is not None:
-            out[blk] = np.matmul(wmat, cols).reshape(-1, groups * per_group, ho, wq)[..., :wo]
         if gw is not None:
-            gy = _widen(dy[blk], wq).reshape(-1, groups, per_group, ho * wq)
+            gy = dy[blk].reshape(-1, groups, per_group, ho * wo)
             for gwi in np.matmul(gy, cols.swapaxes(-1, -2)):
                 gw += gwi
         del cols  # so that the next block's columns reuse its memory, still in cache
@@ -928,14 +839,14 @@ def _lowered(x, wmat, k: int, stride: int, pad: int, out=None, dy=None, gw=None)
 def _input_grad(dy, wmat, k: int, stride: int, pad: int, gx) -> None:
     """Writes into gx (C order) the input gradient of conv2d by wmat, as in
     _lowered, for the output gradient dy; _col2im scatters each block."""
-    ho, wo, wq, blocks = _conv_geometry(gx.shape, k, stride, pad)
+    ho, wo, blocks = _conv_geometry(gx.shape, k, stride, pad)
     groups, per_group, kk = wmat.shape
     for blk in blocks:
-        gy = _widen(dy[blk], wq).reshape(-1, groups, per_group, ho * wq)
+        gy = dy[blk].reshape(-1, groups, per_group, ho * wo)
         if k == 1 and stride == 1 and pad == 0:  # the product is the gradient
             np.matmul(wmat.swapaxes(-1, -2), gy, out=gx[blk].reshape(-1, groups, kk, ho * wo))
         else:
-            _col2im(np.matmul(wmat.swapaxes(-1, -2), gy), gx[blk], k, stride, pad, ho, wo)
+            _col2im(np.matmul(wmat.swapaxes(-1, -2), gy), gx[blk], k, stride, pad)
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:

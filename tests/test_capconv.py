@@ -9,10 +9,11 @@ from encapnet import tensor as T
 from encapnet.capconv import CapConv, CapConvSpec, EncapModule
 from encapnet.errors import ConfigError, ShapeError
 from encapnet.tensor import Tensor, seeded_rng
+from tape_ops import concat
 
 
 def make_layer(caps=3, dim_in=4, dim_out=4, stride=1, seed=0):
-    spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride, padding=1)
+    spec = CapConvSpec(caps, dim_in, dim_out, kernel=3, stride=stride)
     return CapConv(spec, seed=seed)
 
 
@@ -20,7 +21,7 @@ def stacked_gate_reference(v1, v2, w, caps):
     """The gate as conv2d on the per-capsule stack [v1_c; v2_c] of the votes."""
     b, cd, h, wd = v1.shape
     shape = (b, caps, cd // caps, h, wd)
-    both = T.concat([T.reshape(v1, shape), T.reshape(v2, shape)], axis=2)
+    both = concat([T.reshape(v1, shape), T.reshape(v2, shape)], axis=2)
     return T.conv2d(T.reshape(both, (b, 2 * cd, h, wd)), w, 1, 0, caps)
 
 

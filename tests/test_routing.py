@@ -15,6 +15,7 @@ from encapnet.routing import (CapNetLayer, CapsuleMapping, RoutingHistogram,
                               vote_agreement, write_histogram_csv)
 from encapnet.tensor import Tensor, seeded_rng
 from routing_inputs import explicit_agreement, one_hot_routing
+from tape_ops import softmax
 
 
 def random_votes(b=2, n1=6, n2=4, d2=5, seed=0):
@@ -25,13 +26,6 @@ def squash_ops(s, axis=-1):
     """The squash expression op by op, independent of the one-node kernel."""
     nsq = T.tsum(s * s, axis=axis, keepdims=True)
     return s * (nsq / (1.0 + nsq) / T.sqrt(nsq + SQUASH_EPS))
-
-
-def softmax(a, axis):
-    """Softmax from tape ops, so the reference routing stays differentiable;
-    the max shift is a constant, which the softmax does not see."""
-    e = T.exp(a - T.constant(a.data.max(axis=axis, keepdims=True)))
-    return e / T.tsum(e, axis=axis, keepdims=True)
 
 
 def reference_routing(votes, iters):

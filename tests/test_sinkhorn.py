@@ -11,6 +11,7 @@ from encapnet.sinkhorn import (EPS, ITERS, Extractor, FeedbackUnit, Generator,
                                brute_force_ot, cosine_cost, sinkhorn_divergence,
                                sinkhorn_plan)
 from encapnet.tensor import Tensor, seeded_rng
+from tape_ops import concat
 
 
 def random_cost(n, seed=0):
@@ -27,8 +28,8 @@ def taped_divergence(x, y):
         return 1.0 - T.matmul(an, T.transpose(cn))
 
     b = x.shape[0]
-    Q = T.concat([T.reshape(cost(a, c), (1, b, b)) for a, c in ((x, y), (x, x), (y, y))],
-                 axis=0)
+    Q = concat([T.reshape(cost(a, c), (1, b, b)) for a, c in ((x, y), (x, x), (y, y))],
+               axis=0)
     P = T.constant(sinkhorn_plan(Q.data, EPS, ITERS))
     w = T.tsum(Q * P, axis=(-2, -1))
     return T.tsum(w * T.constant(np.array([2.0, -1.0, -1.0])))

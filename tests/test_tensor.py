@@ -14,6 +14,7 @@ from encapnet import tensor as T
 from encapnet.errors import DomainError, GraphReleased, ShapeError
 from encapnet.gradcheck import check_grads
 from encapnet.tensor import Tensor, find_first_nonfinite, seeded_rng
+from tape_ops import concat, exp
 
 
 def conv2d_naive(x, w, stride, padding, groups):
@@ -72,7 +73,7 @@ class TestElementwise:
     def test_relu_sigmoid_exp(self):
         rng = seeded_rng(0, "acts")
         x = Tensor(rng.uniform(0.2, 2.0, size=(5, 5)), requires_grad=True)
-        errs = check_grads(lambda: T.tsum(T.relu(x) + T.sigmoid(x) + T.exp(x)), [x])
+        errs = check_grads(lambda: T.tsum(T.relu(x) + T.sigmoid(x) + exp(x)), [x])
         assert max(errs) < 1e-6
 
     def test_sigmoid_extreme_inputs_stable(self):
@@ -93,7 +94,7 @@ class TestShapesAndReductions:
         b = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
         def build():
-            c = T.concat([a.transpose(0, 2, 1), b.transpose(0, 2, 1)], axis=0)
+            c = concat([a.transpose(0, 2, 1), b.transpose(0, 2, 1)], axis=0)
             return T.tsum(c.reshape((48,)) * c.reshape((48,)))
 
         errs = check_grads(build, [a, b])
@@ -175,6 +176,26 @@ class TestConv:
             checked += 1
         assert checked == len(cases) + len(EDGE_GEOMETRIES)
 
+    @pytest.mark.parametrize("k,stride,pad", [(k, s, p) for k in (1, 2, 3, 5)
+                                              for s in (1, 2, 3) for p in (0, 1, 2)])
+    def test_col2im_is_the_adjoint_of_im2col(self, k, stride, pad):
+        # <im2col(x), c> == <x, col2im(c)> on 7x9 images, also where no output
+        # padding recovers 7x9 and where k < stride leaves pixels under no
+        # tap; col2im overwrites every pixel of its NaN-filled out
+        rng = seeded_rng(0, "col2im-adjoint", k, stride, pad)
+        x = rng.normal(size=(2, 3, 7, 9))
+        cols = T._im2col(x, k, stride, pad)
+        c = rng.normal(size=cols.shape)
+        out = np.full(x.shape, np.nan)
+        T._col2im(c, out, k, stride, pad)
+        lhs, rhs = np.vdot(cols, c), np.vdot(x, out)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs), (lhs, rhs)
+        covered = np.full(x.shape, np.nan)
+        T._col2im(np.ones(cols.shape), covered, k, stride, pad)
+        assert np.all(out[covered == 0] == 0)
+        if k < stride:
+            assert np.any(covered == 0)
+
     def test_conv_transpose_grads(self):
         rng = seeded_rng(0, "ctgrad")
         v = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True)
@@ -238,7 +259,7 @@ class TestConv:
         rng = seeded_rng(0, "conv-blocks", stride, groups, *(("t", opad) if transposed else ()))
         h, wd = (9 + opad, 7 + opad) if transposed and stride == 2 else (9, 8)
         ho, wo = T.conv_out_size(h, 3, stride, 1), T.conv_out_size(wd, 3, stride, 1)
-        per_image = 8 * 4 * 9 * ho * T._phase_shape(3, stride, ho, wo)[1]
+        per_image = 8 * 4 * 9 * ho * wo
         xd = rng.normal(size=(5, 6, ho, wo) if transposed else (5, 4, h, wd))
         x = Tensor(xd, requires_grad=True)
         w = Tensor(rng.normal(size=(6, 4 // groups, 3, 3)), requires_grad=True)
@@ -296,8 +317,8 @@ class TestConv:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_pointwise_product_is_the_output(self, stride):
-        # no junk columns: the matmul writes the output bit for bit, with no
-        # product temporary to copy from; the columns are x itself, or at
+        # the matmul writes the output bit for bit, with no product
+        # temporary to copy from; the columns are x itself, or at
         # stride 2 x[:, :, ::2, ::2] copied one image at a time
         rng = seeded_rng(stride, "pointwise")
         x = Tensor(rng.normal(size=(64, 32, 14, 14)))
@@ -317,8 +338,8 @@ class TestConv:
         assert extra <= 64 << 10, extra
 
     def test_transpose_keeps_only_its_input_on_the_tape(self):
-        # a 3x3 kernel widens the input to the lowered row width, a 0.9 MiB
-        # copy here: the training node must hold no more than the eval output
+        # the forward's columns and padded scatter buffer are temporaries:
+        # the training node must hold no more than the eval output
         rng = seeded_rng(0, "convt-memory")
         x = Tensor(rng.normal(size=(32, 64, 7, 7)), requires_grad=True)
         w = Tensor(rng.normal(size=(64, 16, 3, 3)), requires_grad=True)
@@ -752,7 +773,7 @@ class TestBackward:
         c1, c2 = T.constant(w1), T.constant(w2)
         builds = {
             "x + x": (lambda: T.tsum((x + x) * c1) + T.tsum(x * c1), 3 * w1),
-            "concat([x, x])": (lambda: T.tsum(T.concat([x, x], 0) * c2) + T.tsum(x * c1),
+            "concat([x, x])": (lambda: T.tsum(concat([x, x], 0) * c2) + T.tsum(x * c1),
                                w2[:2] + w2[2:] + w1),
             "tsum of x, and x": (lambda: T.tsum(x) * 2.0 + T.tsum(x * c1), 2.0 + w1),
             "x, and tsum of x": (lambda: T.tsum(x * c1) + T.tsum(x) * 2.0, w1 + 2.0),
@@ -830,7 +851,7 @@ class TestBackward:
 
     def test_find_first_nonfinite_rejects_a_released_graph(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = T.tsum(T.exp(x))
+        loss = T.tsum(exp(x))
         loss.backward()
         with pytest.raises(GraphReleased):
             find_first_nonfinite(loss)
